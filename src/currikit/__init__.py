@@ -12,7 +12,6 @@ from .curriculum import (
     CurriculumDesign,
     CurriculumError,
     CurriculumParams,
-    SubsetLevel,
     design_curriculum,
     design_curriculum_kmeans_baseline,
     load_curriculum,
@@ -40,11 +39,9 @@ from .density import (
 )
 from .experiments import (
     STRATEGY_TAGS,
-    TrainingStrategy,
     build_strategy,
     noisy_fraction_sweep,
     run_ablation,
-    run_strategy,
     summarize,
 )
 from .schedule import (
@@ -52,7 +49,6 @@ from .schedule import (
     CurriculumSampler,
     StageSpec,
     default_schedule,
-    next_batch,
 )
 from .trainer import (
     ClassifierModel,

@@ -49,11 +49,10 @@ from .experiments import (
     CurriculumCache,
     build_strategy,
     noisy_fraction_sweep,
-    run_strategy,
     summarize,
 )
 from .fileio import atomic_write_text
-from .trainer import RunMetrics, holdout_split
+from .trainer import RunMetrics, holdout_split, train
 
 OUT_DIR_ENV = "CURRIKIT_OUT"
 
@@ -204,9 +203,15 @@ def _run_file_tag(tag: str) -> str:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     fs = _load_features_arg(args)
-    _, truth = load_truth(args.truth)
+    truth_ids, truth = load_truth(args.truth)
     if len(truth) != fs.n_samples:
         raise ValueError("truth file does not match the feature file")
+    for row, (truth_id, feature_id) in enumerate(zip(truth_ids, fs.sample_ids)):
+        if truth_id != feature_id:
+            raise ValueError(
+                f"truth file row {row} has id {truth_id!r} where the feature file "
+                f"has {feature_id!r}; truth rows must list the feature ids in order"
+            )
     seeds = _seed_list(args.seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -254,12 +259,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     curricula = CurriculumCache(fs_train, params)
     runs: list[RunMetrics] = []
     for tag in tags:
-        strategy = build_strategy(tag, curricula, int(args.batch_size), float(args.scale))
-        weight_maps = {s.stage_index: s.loss_weights for s in strategy.schedule}
+        cd, schedule = build_strategy(tag, curricula, int(args.batch_size), float(args.scale))
+        weight_maps = {s.stage_index: s.loss_weights for s in schedule}
         for seed in seeds:
             batch_log = [] if args.batch_log else None
-            _, metrics = run_strategy(
-                strategy, fs_train, fs_test, seed, batch_log=batch_log, **common
+            _, metrics = train(
+                tag, fs_train, fs_test, cd, schedule, seed, batch_log=batch_log, **common
             )
             runs.append(metrics)
             run_path = out_dir / f"run_{_run_file_tag(tag)}_s{seed}.json"
@@ -289,6 +294,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # analyze
 
 
+def _load_run(path: str) -> RunMetrics:
+    try:
+        return RunMetrics.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed run file {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cd = load_curriculum(args.curriculum)
     reference = load_reference_labels(args.reference)
@@ -311,8 +323,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     bins_csv = None
     if args.baseline_run and args.curriculum_run:
-        baseline = RunMetrics.from_dict(json.loads(Path(args.baseline_run).read_text()))
-        curriculum_run = RunMetrics.from_dict(json.loads(Path(args.curriculum_run).read_text()))
+        baseline = _load_run(args.baseline_run)
+        curriculum_run = _load_run(args.curriculum_run)
         audit = rate_interval_report(correct, baseline, curriculum_run)
         doc["correct_rate_histogram"] = list(audit.histogram)
         doc["interval_gains"] = [_nan_to_none(g) for g in audit.interval_gains]

@@ -10,7 +10,6 @@ floats so that identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureSet
-from .density import cutoff_dc, delta_and_center, distance_matrix, local_density
+from .density import density_profile
 from .fileio import atomic_write_text
 from .seeding import component_rng
 
@@ -28,14 +27,6 @@ CURRICULUM_VERSION = 1
 
 class CurriculumError(ValueError):
     """Invalid design input or malformed curriculum file."""
-
-
-class SubsetLevel(enum.IntEnum):
-    """Ordinal complexity of a subset; higher means noisier."""
-
-    CLEAN = 0
-    NOISY = 1
-    HIGHLY_NOISY = 2
 
 
 def level_name(level: int, n_subsets: int = 3) -> str:
@@ -110,10 +101,6 @@ class CurriculumDesign:
     @property
     def n_subsets(self) -> int:
         return self.params.n_subsets
-
-    def level_sizes(self) -> tuple[int, ...]:
-        counts = np.bincount(self.levels, minlength=self.n_subsets)
-        return tuple(int(x) for x in counts)
 
     def category_stats(self) -> list[CategoryStats]:
         stats = []
@@ -222,43 +209,26 @@ def partition_category(
 # design
 
 
-def _validate_input(fs: FeatureSet, params: CurriculumParams) -> None:
+def _design(fs: FeatureSet, params: CurriculumParams, category_rule) -> CurriculumDesign:
+    """Run `category_rule(c, feats, params)` on every category's float64
+    feature rows and assemble the design. The rule returns the category's
+    (levels, dist_to_center, center row, d_c)."""
     params.validate()
     empties = fs.empty_categories()
     if empties:
         names = ", ".join(f"{c} ({fs.category_names[c]})" for c in empties)
         raise CurriculumError(f"cannot design a curriculum over empty categories: {names}")
-
-
-def design_curriculum(fs: FeatureSet, params: CurriculumParams) -> CurriculumDesign:
-    """Density-ranked curriculum: per category, the density pipeline picks a
-    center, then 1-D k-means on distance-to-center assigns subset levels.
-    Categories smaller than n_subsets are assigned entirely to level 0.
-    Deterministic for a given input and params."""
-    _validate_input(fs, params)
-    n = fs.n_samples
-    levels = np.zeros(n, dtype=np.int64)
-    dist = np.zeros(n, dtype=np.float64)
+    levels = np.zeros(fs.n_samples, dtype=np.int64)
+    dist = np.zeros(fs.n_samples, dtype=np.float64)
     center_ids: list[str] = []
     dcs = np.zeros(fs.n_categories, dtype=np.float64)
     for c in range(fs.n_categories):
         idx = fs.category_indices(c)
         feats = fs.features[idx].astype(np.float64)
-        d2 = distance_matrix(feats)
-        d_c = cutoff_dc(d2, params.k_percent)
-        rho = local_density(d2, d_c)
-        _, _, center = delta_and_center(d2, rho)
-        cat_dist = d2[center]
-        if idx.size < params.n_subsets:
-            cat_levels = np.zeros(idx.size, dtype=np.int64)
-        else:
-            cat_levels = partition_category(
-                cat_dist, params.n_subsets, params.kmeans_max_iters
-            )
+        cat_levels, cat_dist, center, dcs[c] = category_rule(c, feats, params)
         levels[idx] = cat_levels
         dist[idx] = cat_dist
         center_ids.append(fs.sample_ids[idx[center]])
-        dcs[c] = d_c
     return CurriculumDesign(
         params=params,
         sample_ids=fs.sample_ids,
@@ -268,6 +238,25 @@ def design_curriculum(fs: FeatureSet, params: CurriculumParams) -> CurriculumDes
         center_ids=tuple(center_ids),
         d_c=dcs,
     )
+
+
+def _density_rule(c: int, feats: np.ndarray, params: CurriculumParams):
+    profile = density_profile(feats, params.k_percent)
+    if feats.shape[0] < params.n_subsets:
+        levels = np.zeros(feats.shape[0], dtype=np.int64)
+    else:
+        levels = partition_category(
+            profile.center_dist, params.n_subsets, params.kmeans_max_iters
+        )
+    return levels, profile.center_dist, profile.center, profile.d_c
+
+
+def design_curriculum(fs: FeatureSet, params: CurriculumParams) -> CurriculumDesign:
+    """Density-ranked curriculum: per category, the density pipeline picks a
+    center, then 1-D k-means on distance-to-center assigns subset levels.
+    Categories smaller than n_subsets are assigned entirely to level 0.
+    Deterministic for a given input and params."""
+    return _design(fs, params, _density_rule)
 
 
 def _kmeans_features(
@@ -304,6 +293,24 @@ def _kmeans_features(
     return d2.argmin(axis=1)
 
 
+def _kmeans_rule(c: int, feats: np.ndarray, params: CurriculumParams):
+    if feats.shape[0] < params.n_subsets:
+        assign = np.zeros(feats.shape[0], dtype=np.int64)
+        k = 1
+    else:
+        rng = component_rng(params.seed, "kmeans-init", c)
+        assign = _kmeans_features(feats, params.n_subsets, rng, params.kmeans_max_iters)
+        k = params.n_subsets
+    sizes = np.bincount(assign, minlength=k)
+    order = np.argsort(-sizes, kind="stable")
+    rank = np.empty(k, dtype=np.int64)
+    rank[order] = np.arange(k)
+    levels = rank[assign]
+    centroid = feats[levels == 0].mean(axis=0)
+    center = int(np.argmin(((feats - centroid) ** 2).sum(axis=1)))
+    return levels, ((feats - feats[center]) ** 2).sum(axis=1), center, 0.0
+
+
 def design_curriculum_kmeans_baseline(
     fs: FeatureSet, params: CurriculumParams
 ) -> CurriculumDesign:
@@ -315,44 +322,7 @@ def design_curriculum_kmeans_baseline(
     d_c is recorded as 0 (the cutoff plays no role here). The mean-distance
     ordering across levels is not guaranteed for this variant.
     """
-    _validate_input(fs, params)
-    n = fs.n_samples
-    levels = np.zeros(n, dtype=np.int64)
-    dist = np.zeros(n, dtype=np.float64)
-    center_ids: list[str] = []
-    dcs = np.zeros(fs.n_categories, dtype=np.float64)
-    for c in range(fs.n_categories):
-        idx = fs.category_indices(c)
-        feats = fs.features[idx].astype(np.float64)
-        if idx.size < params.n_subsets:
-            assign = np.zeros(idx.size, dtype=np.int64)
-            k = 1
-        else:
-            rng = component_rng(params.seed, "kmeans-init", c)
-            assign = _kmeans_features(feats, params.n_subsets, rng, params.kmeans_max_iters)
-            k = params.n_subsets
-        sizes = np.bincount(assign, minlength=k)
-        order = np.argsort(-sizes, kind="stable")
-        rank = np.empty(k, dtype=np.int64)
-        rank[order] = np.arange(k)
-        cat_levels = rank[assign]
-        main = feats[cat_levels == 0]
-        centroid = main.mean(axis=0)
-        center_local = int(np.argmin(((feats - centroid) ** 2).sum(axis=1)))
-        cat_dist = ((feats - feats[center_local]) ** 2).sum(axis=1)
-        levels[idx] = cat_levels
-        dist[idx] = cat_dist
-        center_ids.append(fs.sample_ids[idx[center_local]])
-        dcs[c] = 0.0
-    return CurriculumDesign(
-        params=params,
-        sample_ids=fs.sample_ids,
-        categories=fs.labels.copy(),
-        levels=levels,
-        dist_to_center=dist,
-        center_ids=tuple(center_ids),
-        d_c=dcs,
-    )
+    return _design(fs, params, _kmeans_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -394,43 +364,67 @@ def save_curriculum(cd: CurriculumDesign, path: str | Path) -> None:
     atomic_write_text(path, curriculum_to_json(cd) + "\n")
 
 
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], which must be a JSON value of `kind`; a float field also
+    takes a JSON integer, and a boolean is never a number."""
+    if not isinstance(obj, dict):
+        raise CurriculumError(f"malformed curriculum file: {where} is not a JSON object")
+    if key not in obj:
+        raise CurriculumError(f"malformed curriculum file: {where} has no {key!r} field")
+    value = obj[key]
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise CurriculumError(
+            f"malformed curriculum file: {where}: {key!r} must be of type {kind.__name__}"
+        )
+    return value
+
+
 def curriculum_from_json(text: str) -> CurriculumDesign:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CurriculumError(f"malformed curriculum file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != CURRICULUM_VERSION:
+    version = _field(doc, "version", int, "the file")
+    if version != CURRICULUM_VERSION:
         raise CurriculumError(
-            f"curriculum version mismatch: got {doc.get('version')!r}, "
-            f"expected {CURRICULUM_VERSION}"
+            f"curriculum version mismatch: got {version!r}, expected {CURRICULUM_VERSION}"
         )
-    raw_params = doc["params"]
+    raw_params = _field(doc, "params", dict, "the file")
     params = CurriculumParams(
-        k_percent=float(raw_params["k_percent"]),
-        n_subsets=int(raw_params["n_subsets"]),
-        kmeans_max_iters=int(raw_params["kmeans_max_iters"]),
-        seed=int(raw_params["seed"]),
+        k_percent=float(_field(raw_params, "k_percent", float, "params")),
+        n_subsets=_field(raw_params, "n_subsets", int, "params"),
+        kmeans_max_iters=_field(raw_params, "kmeans_max_iters", int, "params"),
+        seed=_field(raw_params, "seed", int, "params"),
     )
+    params.validate()
     ids: list[str] = []
     cats: list[int] = []
     levels: list[int] = []
     dists: list[float] = []
     center_ids: list[str] = []
     dcs: list[float] = []
-    categories = doc["categories"]
-    for expected, entry in enumerate(categories):
-        cid = int(entry["category_id"])
+    for expected, entry in enumerate(_field(doc, "categories", list, "the file")):
+        where = f"category entry {expected}"
+        cid = _field(entry, "category_id", int, where)
         if cid != expected:
             raise CurriculumError(
                 f"category ids must be dense and ascending; found {cid} at position {expected}"
             )
-        center_ids.append(str(entry["center_id"]))
-        dcs.append(float(entry["d_c"]))
-        for s in entry["samples"]:
-            ids.append(str(s["id"]))
+        center_ids.append(_field(entry, "center_id", str, where))
+        dcs.append(float(_field(entry, "d_c", float, where)))
+        sample_where = f"a sample of category {cid}"
+        for s in _field(entry, "samples", list, where):
+            level = _field(s, "level", int, sample_where)
+            if not 0 <= level < params.n_subsets:
+                raise CurriculumError(
+                    f"sample level {level} in category {cid} is outside "
+                    f"[0, {params.n_subsets})"
+                )
+            ids.append(_field(s, "id", str, sample_where))
             cats.append(cid)
-            levels.append(int(s["level"]))
-            dists.append(float(s["dist"]))
+            levels.append(level)
+            dists.append(float(_field(s, "dist", float, sample_where)))
     if len(set(ids)) != len(ids):
         raise CurriculumError("duplicate sample id in curriculum file")
     return CurriculumDesign(

@@ -25,7 +25,8 @@ class DensityProfile:
     delta[i] is the squared distance to the nearest sample earlier in the
     density ordering (rho descending, index ascending), or the maximum row
     distance for the first sample, whose nearest_higher is -1. The center is
-    the sample with maximal delta, ties to the smaller index.
+    the sample with maximal delta, ties to the smaller index, and
+    center_dist[i] is the squared distance from sample i to it.
     """
 
     rho: np.ndarray
@@ -34,6 +35,7 @@ class DensityProfile:
     d_c: float
     k_percent: float
     center: int
+    center_dist: np.ndarray
 
 
 def distance_matrix(features: np.ndarray) -> np.ndarray:
@@ -133,4 +135,5 @@ def density_profile(
         d_c=d_c,
         k_percent=float(k_percent),
         center=center,
+        center_dist=d2[center].copy(),
     )

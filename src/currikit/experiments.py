@@ -1,20 +1,24 @@
-"""Ablation harness: the four training strategies and the noise-fraction sweep.
+"""Ablation harness: the training strategies and the noise-fraction sweep.
 
-Strategies (all sharing the learning-rate plan and the total iteration
-budget, so runs differ only in which data each stage admits):
+A strategy is a design method for the 3-subset curriculum plus a schedule:
+the first n stages of the reference plan (``default_schedule``), or the
+plain baseline's single stage. All share the learning-rate plan and the
+total iteration budget, so runs differ only in which data each stage admits:
 
-* ModelA        train on everything at once, unweighted uniform sampling.
-* ModelB        train on the clean subset only, category-balanced batches.
-* ModelC        two-stage curriculum over the clean and noisy subsets; the
-                highly-noisy subset is never sampled.
-* ModelD        three-stage curriculum over the full 3-subset design.
-* ModelD_kmeans ModelD's schedule over the k-means baseline design.
+* ModelA        density design; plain schedule: everything at once,
+                unweighted uniform sampling.
+* ModelB        density design; 1 stage: the clean subset only,
+                category-balanced batches.
+* ModelC        density design; 2 stages over the clean and noisy subsets;
+                the highly-noisy subset is never sampled.
+* ModelD        density design; all 3 stages.
+* ModelD_kmeans k-means baseline design; all 3 stages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,26 +29,19 @@ from .curriculum import (
     design_curriculum_kmeans_baseline,
 )
 from .data import FeatureSet
-from .schedule import (
-    StageSpec,
-    default_schedule,
-    single_stage_schedule,
-    two_stage_schedule,
-)
+from .schedule import StageSpec, default_schedule, plain_schedule
 from .seeding import component_rng
-from .trainer import ClassifierModel, OptimizerConfig, RunMetrics, train
+from .trainer import RunMetrics, train
 
-STRATEGY_TAGS = ("ModelA", "ModelB", "ModelC", "ModelD", "ModelD_kmeans")
-
-
-@dataclass(frozen=True)
-class TrainingStrategy:
-    """A named strategy bound to its curriculum, schedule and optimizer."""
-
-    tag: str
-    curriculum: CurriculumDesign
-    schedule: tuple[StageSpec, ...]
-    optimizer: OptimizerConfig = OptimizerConfig()
+# tag -> (design method, stages of the reference plan; None = plain schedule)
+_STRATEGIES = {
+    "ModelA": ("density", None),
+    "ModelB": ("density", 1),
+    "ModelC": ("density", 2),
+    "ModelD": ("density", 3),
+    "ModelD_kmeans": ("kmeans", 3),
+}
+STRATEGY_TAGS = tuple(_STRATEGIES)
 
 
 class CurriculumCache:
@@ -69,58 +66,16 @@ class CurriculumCache:
 
 
 def build_strategy(
-    tag: str,
-    curricula: CurriculumCache,
-    batch_size: int,
-    scale: float,
-    optimizer: OptimizerConfig = OptimizerConfig(),
-) -> TrainingStrategy:
-    if tag == "ModelA":
-        cd = curricula.get("density", 3)
-        schedule = single_stage_schedule(batch_size, scale, clean_only=False, n_levels=3)
-    elif tag == "ModelB":
-        cd = curricula.get("density", 3)
-        schedule = single_stage_schedule(batch_size, scale, clean_only=True, n_levels=3)
-    elif tag == "ModelC":
-        cd = curricula.get("density", 3)
-        schedule = two_stage_schedule(batch_size, scale, n_levels=3)
-    elif tag == "ModelD":
-        cd = curricula.get("density", 3)
-        schedule = default_schedule(batch_size, scale)
-    elif tag == "ModelD_kmeans":
-        cd = curricula.get("kmeans", 3)
-        schedule = default_schedule(batch_size, scale)
-    else:
+    tag: str, curricula: CurriculumCache, batch_size: int, scale: float
+) -> tuple[CurriculumDesign, list[StageSpec]]:
+    """The (curriculum, schedule) pair that strategy `tag` trains with."""
+    if tag not in _STRATEGIES:
         raise ValueError(f"unknown strategy {tag!r}; expected one of {STRATEGY_TAGS}")
-    return TrainingStrategy(tag=tag, curriculum=cd, schedule=tuple(schedule), optimizer=optimizer)
-
-
-def run_strategy(
-    strategy: TrainingStrategy,
-    fs_train: FeatureSet,
-    fs_test: FeatureSet,
-    seed: int,
-    *,
-    arch: str = "linear",
-    hidden_dim: int = 32,
-    topk: int = 5,
-    eval_every: int | None = None,
-    batch_log: list | None = None,
-) -> tuple[ClassifierModel, RunMetrics]:
-    return train(
-        strategy.tag,
-        fs_train,
-        fs_test,
-        strategy.curriculum,
-        list(strategy.schedule),
-        seed,
-        arch=arch,
-        hidden_dim=hidden_dim,
-        topk=topk,
-        optimizer=strategy.optimizer,
-        eval_every=eval_every,
-        batch_log=batch_log,
-    )
+    method, n_stages = _STRATEGIES[tag]
+    cd = curricula.get(method, 3)
+    if n_stages is None:
+        return cd, plain_schedule(batch_size, scale)
+    return cd, default_schedule(batch_size, scale, n_stages)
 
 
 def run_ablation(
@@ -141,9 +96,10 @@ def run_ablation(
     strategies = {tag: build_strategy(tag, curricula, batch_size, scale) for tag in tags}
     results = []
     for tag in tags:
+        cd, schedule = strategies[tag]
         for seed in seeds:
-            _, metrics = run_strategy(
-                strategies[tag], fs_train, fs_test, seed,
+            _, metrics = train(
+                tag, fs_train, fs_test, cd, schedule, seed,
                 arch=arch, hidden_dim=hidden_dim, topk=topk,
             )
             results.append(metrics)

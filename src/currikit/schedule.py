@@ -4,9 +4,12 @@ The reference plan trains in three stages with per-batch subset-level
 compositions (256, 0, 0), (128, 128, 0) and (128, 64, 64) at batch size 256,
 loss weights (1.0, 0.5, 0.5), an initial learning rate of 0.1 decaying by 10x
 at iterations 300k / 500k / 600k / 650k of a 700k-iteration run, and stage
-transitions at the first two decay points. ``default_schedule`` scales both
-the composition (to any batch size divisible by 4) and the iteration axis
-(by a factor in (0, 1]) so the same plan runs at desk scale.
+transitions at the first two decay points. ``default_schedule`` returns the
+first n stages of that plan, the last of them running to the end of the
+budget; it scales both the composition (to any batch size divisible by 4)
+and the iteration axis (by a factor in (0, 1]) so the same plan runs at desk
+scale. ``plain_schedule`` is the plain-training baseline: one unrestricted,
+unweighted stage over the same budget and learning-rate plan.
 
 Batches apply two balancing rules: the level-0 (clean) portion draws that
 many distinct categories uniformly and then one uniformly random clean sample
@@ -73,6 +76,10 @@ class StageSpec:
         if not self.lr_plan:
             raise ValueError("lr_plan must have at least one breakpoint")
 
+    def sample_weights(self, levels: np.ndarray) -> np.ndarray:
+        """Loss weight of each sample, looked up by its subset level."""
+        return np.asarray(self.loss_weights, dtype=np.float64)[levels]
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -137,94 +144,49 @@ def _check_schedule_args(batch_size: int, scale: float) -> None:
         raise ValueError("scale must be in (0, 1]")
 
 
-def default_schedule(batch_size: int = BASE_BATCH, scale: float = 1.0) -> list[StageSpec]:
-    """The three-stage plan, composition scaled to `batch_size` and the
-    iteration axis scaled by `scale`."""
-    _check_schedule_args(batch_size, scale)
-    plan = full_lr_plan(scale)
-    b1 = _scale_iteration(BASE_STAGE_BOUNDS[0], scale)
-    b2 = _scale_iteration(BASE_STAGE_BOUNDS[1], scale)
-    total = _scale_iteration(BASE_TOTAL_ITERS, scale)
-    bounds = ((0, b1), (b1, b2), (b2, total))
-    stages = []
-    for s, (start, stop) in enumerate(bounds):
-        stages.append(
-            StageSpec(
-                stage_index=s,
-                batch_size=batch_size,
-                batch_composition=_scaled_composition(BASE_COMPOSITIONS[s], batch_size),
-                loss_weights=DEFAULT_LOSS_WEIGHTS,
-                iterations=stop - start,
-                lr_plan=_plan_slice(plan, start, stop),
-            )
-        )
-    return stages
-
-
-def two_stage_schedule(
-    batch_size: int = BASE_BATCH, scale: float = 1.0, n_levels: int = 3
+def default_schedule(
+    batch_size: int = BASE_BATCH, scale: float = 1.0, n_stages: int = 3
 ) -> list[StageSpec]:
-    """Two-stage curriculum plan: the clean-only stage, then clean+noisy for
-    the remainder of the run. Levels above 1 (e.g. the highly-noisy subset
-    of a 3-level curriculum) are never sampled."""
+    """The first `n_stages` stages of the reference plan, composition scaled
+    to `batch_size` and the iteration axis scaled by `scale`. The last stage
+    runs to the end of the budget: 3 stages are the full curriculum, 2 never
+    sample the highly-noisy subset and 1 trains on the clean subset only."""
     _check_schedule_args(batch_size, scale)
-    if n_levels < 2:
-        raise ValueError("a two-stage plan needs at least 2 levels")
+    if not 1 <= n_stages <= len(BASE_COMPOSITIONS):
+        raise ValueError(f"n_stages must be in [1, {len(BASE_COMPOSITIONS)}]")
     plan = full_lr_plan(scale)
-    b1 = _scale_iteration(BASE_STAGE_BOUNDS[0], scale)
-    total = _scale_iteration(BASE_TOTAL_ITERS, scale)
-    half = batch_size // 2
-    weights = DEFAULT_LOSS_WEIGHTS[:n_levels] + (0.5,) * max(0, n_levels - 3)
-    pad = (0,) * (n_levels - 2)
+    bounds = (
+        [0]
+        + [_scale_iteration(b, scale) for b in BASE_STAGE_BOUNDS[: n_stages - 1]]
+        + [_scale_iteration(BASE_TOTAL_ITERS, scale)]
+    )
     return [
         StageSpec(
-            stage_index=0,
+            stage_index=s,
             batch_size=batch_size,
-            batch_composition=(batch_size, 0) + pad,
-            loss_weights=weights,
-            iterations=b1,
-            lr_plan=_plan_slice(plan, 0, b1),
-        ),
-        StageSpec(
-            stage_index=1,
-            batch_size=batch_size,
-            batch_composition=(half, half) + pad,
-            loss_weights=weights,
-            iterations=total - b1,
-            lr_plan=_plan_slice(plan, b1, total),
-        ),
+            batch_composition=_scaled_composition(BASE_COMPOSITIONS[s], batch_size),
+            loss_weights=DEFAULT_LOSS_WEIGHTS,
+            iterations=stop - start,
+            lr_plan=_plan_slice(plan, start, stop),
+        )
+        for s, (start, stop) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 
-def single_stage_schedule(
-    batch_size: int = BASE_BATCH,
-    scale: float = 1.0,
-    *,
-    clean_only: bool,
-    n_levels: int = 3,
-) -> list[StageSpec]:
-    """One stage for the full budget: either clean-only batches with the
-    category-level balance, or unrestricted unweighted sampling over all
-    levels (the plain-training baseline)."""
+def plain_schedule(batch_size: int = BASE_BATCH, scale: float = 1.0) -> list[StageSpec]:
+    """One stage for the whole budget with unrestricted, unweighted sampling
+    over every level (the plain-training baseline)."""
     _check_schedule_args(batch_size, scale)
-    plan = full_lr_plan(scale)
     total = _scale_iteration(BASE_TOTAL_ITERS, scale)
-    if clean_only:
-        composition: tuple[int, ...] | None = (batch_size,) + (0,) * (n_levels - 1)
-        weights = DEFAULT_LOSS_WEIGHTS[:n_levels]
-        stage_index = 0
-    else:
-        composition = None
-        weights = (1.0,) * n_levels
-        stage_index = n_levels - 1
+    n_levels = len(DEFAULT_LOSS_WEIGHTS)
     return [
         StageSpec(
-            stage_index=stage_index,
+            stage_index=n_levels - 1,
             batch_size=batch_size,
-            batch_composition=composition,
-            loss_weights=weights,
+            batch_composition=None,
+            loss_weights=(1.0,) * n_levels,
             iterations=total,
-            lr_plan=_plan_slice(plan, 0, total),
+            lr_plan=_plan_slice(full_lr_plan(scale), 0, total),
         )
     ]
 
@@ -325,15 +287,4 @@ class CurriculumSampler:
                     parts.append(pool[rng.integers(0, pool.size, size=counts[level])])
             indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         levels = self.levels[indices]
-        weights = np.array([stage.loss_weights[lv] for lv in levels], dtype=np.float64)
-        return Batch(indices=indices, weights=weights, levels=levels)
-
-
-def next_batch(
-    stage: StageSpec,
-    cd: CurriculumDesign,
-    fs: FeatureSet,
-    rng: np.random.Generator,
-) -> Batch:
-    """One-shot convenience wrapper; build a CurriculumSampler for loops."""
-    return CurriculumSampler(cd, fs).next_batch(stage, rng)
+        return Batch(indices=indices, weights=stage.sample_weights(levels), levels=levels)

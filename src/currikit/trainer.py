@@ -3,7 +3,7 @@
 The model is a linear softmax classifier or a one-hidden-layer MLP over the
 feature vectors; the variable under test is the training schedule, not the
 architecture. Optimization is plain SGD with momentum 0.9 and weight decay
-1e-4 by default, learning rates from the stage plan. Per-sample losses are
+1e-4, learning rates from the stage plan. Per-sample losses are
 multiplied by their subset-level weight and then averaged over the batch
 size; momentum carries across stage boundaries. Runs are single-threaded and
 fully deterministic for a given seed.
@@ -23,6 +23,8 @@ from .seeding import component_rng
 
 LOG_EPS = 1e-12
 ARCHITECTURES = ("linear", "mlp")
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,28 +39,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def weighted_ce_loss(
-    probs: np.ndarray, label: int, weight: float
-) -> tuple[float, np.ndarray]:
-    """Weighted cross-entropy for one sample.
-
-    Returns (loss, gradient w.r.t. the logits): loss is
-    -weight * log(probs[label]) with the probability clamped at 1e-12, and
-    the gradient is weight * (probs - onehot(label)), exactly linear in the
-    weight.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    loss = -weight * math.log(max(float(probs[label]), LOG_EPS))
-    grad = weight * probs.copy()
-    grad[label] -= weight
-    return loss, grad
-
-
-def _batch_ce_and_grad(
     logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean weighted cross-entropy over a batch and its logit gradient."""
+    """Mean weighted cross-entropy over a batch and its gradient w.r.t. the
+    logits.
+
+    The loss is sum_i -weights[i] * log(p_i[labels[i]]) / b over the b rows,
+    with each probability clamped at 1e-12; the gradient of row i is
+    weights[i] * (p_i - onehot(labels[i])) / b, exactly linear in the weight.
+    """
     b = logits.shape[0]
     probs = softmax(logits)
     picked = probs[np.arange(b), labels]
@@ -66,12 +55,6 @@ def _batch_ce_and_grad(
     grad = probs * weights[:, None]
     grad[np.arange(b), labels] -= weights
     return loss, grad / b
-
-
-def _mean_weighted_ce(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
-    probs = softmax(logits)
-    picked = probs[np.arange(logits.shape[0]), labels]
-    return float((-weights * np.log(np.maximum(picked, LOG_EPS))).mean())
 
 
 @dataclass
@@ -148,12 +131,12 @@ class ClassifierModel:
         x = self._standardize(x)
         if self.arch == "linear":
             logits = x @ self.params["W"] + self.params["b"]
-            loss, g = _batch_ce_and_grad(logits, labels, weights)
+            loss, g = weighted_ce_loss(logits, labels, weights)
             return loss, {"W": x.T @ g, "b": g.sum(axis=0)}
         pre = x @ self.params["W1"] + self.params["b1"]
         hidden = np.maximum(pre, 0.0)
         logits = hidden @ self.params["W2"] + self.params["b2"]
-        loss, g = _batch_ce_and_grad(logits, labels, weights)
+        loss, g = weighted_ce_loss(logits, labels, weights)
         g_hidden = (g @ self.params["W2"].T) * (pre > 0.0)
         return loss, {
             "W1": x.T @ g_hidden,
@@ -161,12 +144,6 @@ class ClassifierModel:
             "W2": hidden.T @ g,
             "b2": g.sum(axis=0),
         }
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -291,11 +268,7 @@ def _stage_pool_loss(
     if not pool.size:
         return math.nan
     logits = model.logits(fs.features[pool].astype(np.float64))
-    if stage.batch_composition is None:
-        weights = np.ones(pool.size)
-    else:
-        weights = np.array([stage.loss_weights[lv] for lv in levels[pool]])
-    return _mean_weighted_ce(logits, fs.labels[pool], weights)
+    return weighted_ce_loss(logits, fs.labels[pool], stage.sample_weights(levels[pool]))[0]
 
 
 def train(
@@ -309,7 +282,6 @@ def train(
     arch: str = "linear",
     hidden_dim: int = 32,
     topk: int = 5,
-    optimizer: OptimizerConfig = OptimizerConfig(),
     eval_every: int | None = None,
     batch_log: list | None = None,
     include_mask: np.ndarray | None = None,
@@ -376,8 +348,8 @@ def train(
                     f"{iteration} (stage {stage.stage_index}, lr {lr})"
                 )
             for name in sorted(model.params):
-                g = grads[name] + optimizer.weight_decay * model.params[name]
-                velocity[name] = optimizer.momentum * velocity[name] - lr * g
+                g = grads[name] + WEIGHT_DECAY * model.params[name]
+                velocity[name] = MOMENTUM * velocity[name] - lr * g
                 model.params[name] += velocity[name]
             iteration += 1
             if iteration % eval_every == 0 or iteration == total:

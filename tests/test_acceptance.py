@@ -33,7 +33,7 @@ from currikit.data import (
 from currikit.density import cutoff_dc, delta_and_center, distance_matrix, local_density
 from currikit.experiments import noisy_fraction_sweep, run_ablation
 from currikit.schedule import CurriculumSampler, StageSpec
-from currikit.trainer import holdout_split, softmax, weighted_ce_loss
+from currikit.trainer import holdout_split, weighted_ce_loss
 from cli_support import run_cli
 from oracles import (
     brute_cutoff,
@@ -204,15 +204,16 @@ def test_criterion_7_gradient_correctness():
         logits = rng.standard_normal(c) * rng.uniform(0.5, 3.0)
         label = int(rng.integers(0, c))
         weight = float(rng.uniform(0.1, 2.0))
-        _, grad = weighted_ce_loss(softmax(logits), label, weight)
 
-        def loss_of(z):
-            return weighted_ce_loss(softmax(z), label, weight)[0]
+        def ce(z, w):
+            # The training loss on a batch of one sample.
+            return weighted_ce_loss(z[None, :], np.array([label]), np.array([w]))
 
-        fd = finite_diff_grad(loss_of, logits.copy(), h=1e-4)
+        _, grad = ce(logits, weight)
+        fd = finite_diff_grad(lambda z: ce(z, weight)[0], logits.copy(), h=1e-4)
         worst = max(worst, relative_error(grad, fd))
-        _, g_full = weighted_ce_loss(softmax(logits), label, 1.0)
-        _, g_half = weighted_ce_loss(softmax(logits), label, 0.5)
+        _, g_full = ce(logits, 1.0)
+        _, g_half = ce(logits, 0.5)
         assert np.array_equal(g_half, 0.5 * g_full)
     assert worst < 1e-5, f"worst finite-difference relative error {worst:.2e}"
     report(7, f"100 instances within 1e-5 of central differences "

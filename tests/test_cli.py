@@ -109,6 +109,17 @@ class TestTrain:
         assert lines[0] == "iteration,level_counts,weights"
         assert lines[1].startswith("0,16;0;0,")
 
+    def test_misaligned_truth_exit_1(self, workspace):
+        truth = workspace / "truth.csv"
+        lines = truth.read_text().splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]  # swap data rows 2 and 3
+        truth.write_text("".join(lines))
+        r = run_cli(TRAIN + ["--strategies", "A", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error:" in r.stderr and "row 2" in r.stderr
+        assert lines[3].split(",")[0] in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_seed_ranges(self):
         from currikit.cli import _seed_list
 
@@ -151,6 +162,43 @@ class TestAnalyze:
         assert r.returncode == 0, r.stderr
         audit = json.loads((workspace / "audit.json").read_text())
         assert audit["correct_rate_histogram"] is None
+
+
+MALFORMED_CURRICULA = {
+    "not_an_object": lambda text: "[1, 2]\n",
+    "missing_params": lambda text: '{"version": 1}\n',
+    "wrong_type": lambda text: text.replace('"n_subsets": 3', '"n_subsets": "3"', 1),
+    "boolean_version": lambda text: text.replace('"version": 1', '"version": true', 1),
+    "level_out_of_range": lambda text: text.replace('"level": 0', '"level": 3', 1),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CURRICULA))
+    def test_malformed_curriculum_exit_1(self, workspace, case):
+        r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        path = workspace / "curriculum.json"
+        text = path.read_text()
+        bad = MALFORMED_CURRICULA[case](text)
+        assert bad != text
+        path.write_text(bad)
+        r = run_cli(["analyze", "--curriculum", "curriculum.json",
+                     "--reference", "truth.csv", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error:" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_malformed_run_file_exit_1(self, workspace):
+        r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        (workspace / "bad_run.json").write_text("{}\n")
+        r = run_cli(["analyze", "--curriculum", "curriculum.json",
+                     "--reference", "truth.csv", "--baseline-run", "bad_run.json",
+                     "--curriculum-run", "bad_run.json", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error:" in r.stderr and "bad_run.json" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestConfigAndEnv:

@@ -19,7 +19,14 @@ from currikit.data import (
     generate_synthetic,
     reference_from_truth,
 )
-from oracles import optimal_kmeans_1d, wcss_of
+from oracles import (
+    brute_cutoff,
+    brute_local_density,
+    literal_delta,
+    naive_distance_matrix,
+    optimal_kmeans_1d,
+    wcss_of,
+)
 
 PLANT = SynthConfig(n_categories=10, per_category=200, n_features=32,
                     clean_frac=0.60, cross_frac=0.25, uniform_frac=0.15,
@@ -138,6 +145,30 @@ class TestDesignCurriculum:
         fs, _, cd = design
         again = design_curriculum(fs, CurriculumParams(seed=1))
         assert curriculum_to_json(cd) == curriculum_to_json(again)
+
+    def test_matches_density_oracles_end_to_end(self):
+        # d_c and the distance row of the chosen center are compared with the
+        # oracles in every category. The center itself is compared with the
+        # strict higher-density rule of literal_delta where the category's
+        # maximal rho is unique; at a tie the two rules may pick different
+        # samples by definition (see literal_delta).
+        untied = 0
+        for seed in range(10):
+            fs, _ = generate_synthetic(SynthConfig(4, 30, 6, 0.6, 0.25, 0.15, seed=seed))
+            cd = design_curriculum(fs, CurriculumParams(seed=seed))
+            for c in range(fs.n_categories):
+                idx = fs.category_indices(c)
+                d2 = naive_distance_matrix(fs.features[idx])
+                d_c = brute_cutoff(d2, 60.0)
+                rho = brute_local_density(d2, d_c)
+                assert cd.d_c[c] == d_c
+                center = idx.tolist().index(fs.index_of()[cd.center_ids[c]])
+                assert np.array_equal(cd.dist_to_center[idx], d2[center])
+                if (rho == rho.max()).sum() == 1:
+                    _, expected_center = literal_delta(d2, rho)
+                    assert cd.center_ids[c] == fs.sample_ids[idx[expected_center]]
+                    untied += 1
+        assert untied >= 10, "too few categories with a unique density peak"
 
 
 class TestKmeansBaseline:

@@ -5,14 +5,14 @@ from currikit.analysis import category_correct_rates, rate_interval_report
 from currikit.curriculum import CurriculumParams
 from currikit.data import FeatureSet, SynthConfig, SyntheticTruth, generate_synthetic
 from currikit.experiments import (
+    STRATEGY_TAGS,
     CurriculumCache,
     build_strategy,
     noisy_fraction_sweep,
     restrict_highly_noisy,
-    run_strategy,
     summarize,
 )
-from currikit.trainer import holdout_split
+from currikit.trainer import holdout_split, train
 
 PLANT = dict(n_categories=10, per_category=200, n_features=32,
              clean_frac=0.60, cross_frac=0.25, uniform_frac=0.15, blob_sigma=2.0)
@@ -25,6 +25,39 @@ def split():
     return fs_train, train_truth, fs_test
 
 
+LR_PLAN = ((0, 0.1), (300, 0.01), (500, 0.001), (600, 0.0001), (650, 1e-05))
+CURRICULUM_STAGES = [
+    (0, (64, 0, 0), (1.0, 0.5, 0.5), 300, ((0, 0.1),)),
+    (1, (32, 32, 0), (1.0, 0.5, 0.5), 200, ((300, 0.01),)),
+    (2, (32, 16, 16), (1.0, 0.5, 0.5), 200, ((500, 0.001), (600, 0.0001), (650, 1e-05))),
+]
+# tag -> (design method, [(stage_index, batch_composition, loss_weights,
+# iterations, lr_plan)]) at batch size 64 and scale 0.001.
+PINNED_STRATEGIES = {
+    "ModelA": ("density", [(2, None, (1.0, 1.0, 1.0), 700, LR_PLAN)]),
+    "ModelB": ("density", [(0, (64, 0, 0), (1.0, 0.5, 0.5), 700, LR_PLAN)]),
+    "ModelC": ("density", [
+        (0, (64, 0, 0), (1.0, 0.5, 0.5), 300, ((0, 0.1),)),
+        (1, (32, 32, 0), (1.0, 0.5, 0.5), 400,
+         ((300, 0.01), (500, 0.001), (600, 0.0001), (650, 1e-05))),
+    ]),
+    "ModelD": ("density", CURRICULUM_STAGES),
+    "ModelD_kmeans": ("kmeans", CURRICULUM_STAGES),
+}
+
+
+@pytest.mark.parametrize("tag", STRATEGY_TAGS)
+def test_strategy_schedule_pinned(tag):
+    fs, _ = generate_synthetic(SynthConfig(3, 12, 4, 0.6, 0.25, 0.15, seed=0))
+    cache = CurriculumCache(fs, CurriculumParams(seed=0))
+    cd, schedule = build_strategy(tag, cache, 64, 0.001)
+    method, stages = PINNED_STRATEGIES[tag]
+    assert cd is cache.get(method, 3)
+    assert [(s.stage_index, s.batch_composition, s.loss_weights, s.iterations, s.lr_plan)
+            for s in schedule] == stages
+    assert all(s.batch_size == 64 for s in schedule)
+
+
 class TestStrategyComparisons:
     def test_density_design_beats_kmeans_design(self, split):
         fs_train, _, fs_test = split
@@ -34,8 +67,8 @@ class TestStrategyComparisons:
         seeds = range(10)
         wins = 0
         for seed in seeds:
-            _, md = run_strategy(density, fs_train, fs_test, seed)
-            _, mk = run_strategy(kmeans, fs_train, fs_test, seed)
+            _, md = train("ModelD", fs_train, fs_test, *density, seed)
+            _, mk = train("ModelD_kmeans", fs_train, fs_test, *kmeans, seed)
             wins += md.final_top1 <= mk.final_top1
         assert wins > 5, f"density curriculum won only {wins}/10 seeds"
 
@@ -43,7 +76,7 @@ class TestStrategyComparisons:
         fs_train, _, fs_test = split
         cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
         st = build_strategy("ModelB", cache, 64, 0.0005)
-        runs = [run_strategy(st, fs_train, fs_test, s)[1] for s in (0, 1)]
+        runs = [train("ModelB", fs_train, fs_test, *st, s)[1] for s in (0, 1)]
         table = summarize(runs)
         assert table["ModelB"]["runs"] == 2
         assert 0.0 <= table["ModelB"]["mean_top1"] <= 1.0
@@ -54,7 +87,7 @@ class TestNoisyFractionSweep:
         fs_train, _, fs_test = split
         cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
         model_c = build_strategy("ModelC", cache, 64, 0.001)
-        _, mc = run_strategy(model_c, fs_train, fs_test, 4)
+        _, mc = train("ModelC", fs_train, fs_test, *model_c, 4)
         [(_, m0)] = noisy_fraction_sweep([0.0], [4], fs_train, fs_test,
                                          CurriculumParams(seed=0))
         assert [(p.iteration, p.train_loss, p.test_top1, p.test_topk) for p in m0.points] \
@@ -65,7 +98,7 @@ class TestNoisyFractionSweep:
         fs_train, _, fs_test = split
         cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
         model_d = build_strategy("ModelD", cache, 64, 0.001)
-        _, md = run_strategy(model_d, fs_train, fs_test, 4)
+        _, md = train("ModelD", fs_train, fs_test, *model_d, 4)
         [(_, m1)] = noisy_fraction_sweep([1.0], [4], fs_train, fs_test,
                                          CurriculumParams(seed=0))
         assert m1.to_dict()["points"] == md.to_dict()["points"]
@@ -129,10 +162,10 @@ class TestRateIntervalExperiment:
             fs, truth = merged_noise_dataset(seed)
             fs_train, train_truth, fs_test = holdout_split(fs, truth, 0.2, seed)
             cache = CurriculumCache(fs_train, CurriculumParams(seed=seed))
-            _, base = run_strategy(build_strategy("ModelA", cache, 64, 0.001),
-                                   fs_train, fs_test, seed)
-            _, curr = run_strategy(build_strategy("ModelD", cache, 64, 0.001),
-                                   fs_train, fs_test, seed)
+            _, base = train("ModelA", fs_train, fs_test,
+                            *build_strategy("ModelA", cache, 64, 0.001), seed)
+            _, curr = train("ModelD", fs_train, fs_test,
+                            *build_strategy("ModelD", cache, 64, 0.001), seed)
             cd = cache.get("density", 3)
             correct = category_correct_rates(cd, reference_from_truth(fs_train, train_truth))
             audit = rate_interval_report(correct, base, curr)

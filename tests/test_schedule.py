@@ -11,9 +11,7 @@ from currikit.schedule import (
     default_schedule,
     full_lr_plan,
     lr_at,
-    next_batch,
-    single_stage_schedule,
-    two_stage_schedule,
+    plain_schedule,
 )
 
 
@@ -57,12 +55,12 @@ class TestDefaultSchedule:
             StageSpec(0, 8, (4, 4, 0), (1.0, 0.5, 0.5), 1, ((0, 0.1),))
 
     def test_two_and_single_stage(self):
-        two = two_stage_schedule(64, 0.001)
+        two = default_schedule(64, 0.001, n_stages=2)
         assert [s.batch_composition for s in two] == [(64, 0, 0), (32, 32, 0)]
         assert sum(s.iterations for s in two) == 700
-        clean = single_stage_schedule(64, 0.001, clean_only=True)
+        clean = default_schedule(64, 0.001, n_stages=1)
         assert clean[0].batch_composition == (64, 0, 0)
-        plain = single_stage_schedule(64, 0.001, clean_only=False)
+        plain = plain_schedule(64, 0.001)
         assert plain[0].batch_composition is None
         assert plain[0].stage_index == 2
 
@@ -105,7 +103,7 @@ class TestSampler:
     def test_exact_composition_and_weights(self):
         fs, cd = planted_sampler()
         stage = StageSpec(2, 16, (8, 4, 4), (1.0, 0.5, 0.5), 1, ((0, 0.1),))
-        batch = next_batch(stage, cd, fs, np.random.default_rng(1))
+        batch = CurriculumSampler(cd, fs).next_batch(stage, np.random.default_rng(1))
         assert batch.level_counts(3) == (8, 4, 4)
         weights = {0: 1.0, 1: 0.5, 2: 0.5}
         assert all(w == weights[lv] for w, lv in zip(batch.weights, batch.levels))
@@ -125,15 +123,15 @@ class TestSampler:
         fs1 = fs.take(keep)
         cd1 = cd.restrict(keep)
         stage = StageSpec(0, 8, (8, 0, 0), (1.0, 0.5, 0.5), 1, ((0, 0.1),))
-        batch = next_batch(stage, cd1, fs1, np.random.default_rng(5))
+        batch = CurriculumSampler(cd1, fs1).next_batch(stage, np.random.default_rng(5))
         assert (fs1.labels[batch.indices] == 0).all()
         assert batch.size == 8
 
     def test_deterministic_given_rng_state(self):
         fs, cd = planted_sampler()
         stage = StageSpec(2, 16, (8, 4, 4), (1.0, 0.5, 0.5), 1, ((0, 0.1),))
-        b1 = next_batch(stage, cd, fs, np.random.default_rng(77))
-        b2 = next_batch(stage, cd, fs, np.random.default_rng(77))
+        b1 = CurriculumSampler(cd, fs).next_batch(stage, np.random.default_rng(77))
+        b2 = CurriculumSampler(cd, fs).next_batch(stage, np.random.default_rng(77))
         assert np.array_equal(b1.indices, b2.indices)
 
     def test_no_sample_above_stage_level(self):
@@ -168,7 +166,7 @@ class TestSampler:
     def test_unrestricted_stage_uniform(self):
         fs, cd = planted_sampler()
         stage = StageSpec(2, 32, None, (1.0, 1.0, 1.0), 1, ((0, 0.1),))
-        batch = next_batch(stage, cd, fs, np.random.default_rng(6))
+        batch = CurriculumSampler(cd, fs).next_batch(stage, np.random.default_rng(6))
         assert batch.size == 32
         assert (batch.weights == 1.0).all()
 
@@ -194,6 +192,6 @@ class TestSamplerOnRealDesign:
         fs, _ = generate_synthetic(SynthConfig(6, 40, 8, 0.6, 0.25, 0.15, seed=5))
         cd = design_curriculum(fs, CurriculumParams(seed=5))
         stage = default_schedule(16, 0.001)[2]
-        batch = next_batch(stage, cd, fs, np.random.default_rng(9))
+        batch = CurriculumSampler(cd, fs).next_batch(stage, np.random.default_rng(9))
         assert batch.size == 16
         assert batch.level_counts(3) == (8, 4, 4)

@@ -5,7 +5,7 @@ import pytest
 
 from currikit.curriculum import CurriculumParams, design_curriculum
 from currikit.data import NOISE_CLEAN, SynthConfig, generate_synthetic
-from currikit.schedule import StageSpec, default_schedule, single_stage_schedule
+from currikit.schedule import StageSpec, default_schedule, plain_schedule
 from currikit.trainer import (
     ClassifierModel,
     RunMetrics,
@@ -13,7 +13,6 @@ from currikit.trainer import (
     evaluate,
     holdout_split,
     per_category_accuracy,
-    softmax,
     top_k_predictions,
     train,
     weighted_ce_loss,
@@ -21,16 +20,24 @@ from currikit.trainer import (
 from oracles import finite_diff_grad, relative_error
 
 
+def single_ce(logits, label, weight):
+    """weighted_ce_loss on a batch of one sample."""
+    loss, grad = weighted_ce_loss(
+        np.asarray(logits, dtype=np.float64)[None, :], np.array([label]), np.array([weight]))
+    return loss, grad[0]
+
+
 class TestWeightedCeLoss:
+    # Each case gives logits whose softmax is the probability vector under test.
     def test_analytic_value(self):
-        loss, grad = weighted_ce_loss(np.array([0.5, 0.5]), 0, 1.0)
+        loss, grad = single_ce(np.log([0.5, 0.5]), 0, 1.0)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(grad, [-0.5, 0.5])
 
     def test_linear_in_weight(self):
-        probs = np.array([0.2, 0.3, 0.5])
-        loss1, grad1 = weighted_ce_loss(probs, 1, 1.0)
-        loss05, grad05 = weighted_ce_loss(probs, 1, 0.5)
+        logits = np.log([0.2, 0.3, 0.5])
+        loss1, grad1 = single_ce(logits, 1, 1.0)
+        loss05, grad05 = single_ce(logits, 1, 0.5)
         assert loss05 == pytest.approx(loss1 / 2, abs=1e-15)
         assert np.array_equal(grad05, grad1 * 0.5)
 
@@ -41,17 +48,16 @@ class TestWeightedCeLoss:
             logits = rng.standard_normal(c)
             label = int(rng.integers(0, c))
             weight = float(rng.uniform(0.1, 2.0))
-            _, grad = weighted_ce_loss(softmax(logits), label, weight)
+            _, grad = single_ce(logits, label, weight)
 
             def loss_of(z):
-                return weighted_ce_loss(softmax(z), label, weight)[0]
+                return single_ce(z, label, weight)[0]
 
             fd = finite_diff_grad(loss_of, logits.copy())
             assert relative_error(grad, fd) < 1e-5
 
     def test_zero_probability_clamped(self):
-        probs = np.array([1.0, 0.0])
-        loss, _ = weighted_ce_loss(probs, 1, 1.0)
+        loss, _ = single_ce([0.0, -1e4], 1, 1.0)  # softmax gives [1.0, 0.0]
         assert math.isfinite(loss) and loss > 20
 
 
@@ -172,7 +178,7 @@ class TestTrain:
     def test_model_b_sees_only_clean(self):
         tr, _, te = planted_split()
         cd = design_curriculum(tr, CurriculumParams(seed=2))
-        schedule = single_stage_schedule(16, 0.0001, clean_only=True)
+        schedule = default_schedule(16, 0.0001, n_stages=1)
         log = []
         train("ModelB", tr, te, cd, schedule, 0, batch_log=log)
         assert log, "batch log should not be empty"
@@ -202,7 +208,7 @@ class TestTrain:
         # the plain-training baseline, step for step.
         tr, _, te = planted_split()
         cd = design_curriculum(tr, CurriculumParams(seed=2))
-        schedule = single_stage_schedule(16, 0.0005, clean_only=False)
+        schedule = plain_schedule(16, 0.0005)
         model_a, ma = train("ModelA", tr, te, cd, schedule, 5)
         model_d, md = train("ModelD", tr, te, cd, schedule, 5)
         for name in model_a.params:
@@ -225,7 +231,7 @@ class TestTrain:
         fs, truth = generate_synthetic(cfg)
         tr, _, te = holdout_split(fs, truth, 0.2, 1)
         cd = design_curriculum(tr, CurriculumParams(seed=3))
-        schedule = single_stage_schedule(16, 0.001, clean_only=True)
+        schedule = default_schedule(16, 0.001, n_stages=1)
         _, metrics = train("ModelB", tr, te, cd, schedule, 0, topk=3)
         first_decay = 300
         tail = [p.train_loss for p in metrics.points if p.iteration >= first_decay]
