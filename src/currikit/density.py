@@ -16,6 +16,13 @@ import numpy as np
 
 DEFAULT_K_PERCENT = 60.0
 
+# The largest distance matrix one category may need: 8 * n^2 bytes for n
+# samples, so 2 GiB allows up to 16384 samples per category.
+MAX_MATRIX_BYTES = 2 * 1024**3
+
+# Rows per block in distance_matrix.
+_ROW_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class DensityProfile:
@@ -41,39 +48,64 @@ class DensityProfile:
 def distance_matrix(features: np.ndarray) -> np.ndarray:
     """All-pairs squared Euclidean distances, (n, n) float64.
 
-    Exactly symmetric with a zero diagonal: entries are computed once per
-    unordered pair (upper triangle mirrored), each as a sequential sum of
-    squared per-dimension differences, matching a naive loop bit for bit.
+    Exactly symmetric with a zero diagonal, and equal bit for bit to a naive
+    loop: each entry is a sequential sum of squared per-dimension
+    differences, accumulated in dimension order. The rows are computed in
+    blocks of ``_ROW_BLOCK``; a block starting at row i0 covers only the
+    columns from i0 on (the upper triangle and the block's own diagonal
+    square) and is written to its rows and, transposed, to its columns.
+    Peak memory is the n^2 output plus two reused block buffers of
+    ``_ROW_BLOCK`` x n float64 each. A matrix larger than
+    ``MAX_MATRIX_BYTES`` raises ValueError before anything is allocated.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = np.asarray(features)
     if feats.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     n = feats.shape[0]
     if n < 1:
         raise ValueError("need at least one sample")
+    needed = 8 * n * n
+    if needed > MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"a category of {n} samples needs {needed} bytes for its distance "
+            f"matrix, over the budget of {MAX_MATRIX_BYTES} bytes")
+    feats = feats.astype(np.float64, copy=False)
     if not np.isfinite(feats).all():
         raise ValueError("non-finite feature value")
-    d2 = np.zeros((n, n), dtype=np.float64)
-    for k in range(feats.shape[1]):
-        diff = feats[:, k, None] - feats[None, :, k]
-        d2 += diff * diff
-    upper = np.triu(d2, 1)
-    return upper + upper.T
+    cols = np.ascontiguousarray(feats.T)
+    d2 = np.empty((n, n), dtype=np.float64)
+    block = min(_ROW_BLOCK, n)
+    diff_buf = np.empty(block * n, dtype=np.float64)
+    acc_buf = np.empty(block * n, dtype=np.float64)
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        shape = (i1 - i0, n - i0)
+        diff = diff_buf[: shape[0] * shape[1]].reshape(shape)
+        acc = acc_buf[: shape[0] * shape[1]].reshape(shape)
+        acc.fill(0.0)
+        for col in cols:
+            np.subtract(col[i0:i1, None], col[None, i0:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(acc, diff, out=acc)
+        d2[i0:i1, i0:] = acc
+        d2[i0:, i0:i1] = acc.T
+    return d2
 
 
 def cutoff_dc(d2: np.ndarray, k_percent: float = DEFAULT_K_PERCENT) -> float:
     """Cutoff distance: the k-percent rank among all n^2 matrix entries.
 
-    All n^2 entries, diagonal zeros included, are sorted ascending and the
-    one at zero-based index floor(k_percent/100 * n^2) is returned (clamped
-    to the last entry). Monotone non-decreasing in k_percent.
+    Of all n^2 entries, diagonal zeros included, in ascending order, the one
+    at zero-based index floor(k_percent/100 * n^2) is returned (clamped to
+    the last entry). Monotone non-decreasing in k_percent. A partition finds
+    it without sorting the rest.
     """
     if not 0.0 < k_percent < 100.0:
         raise ValueError("k_percent must be in (0, 100)")
-    flat = np.sort(np.asarray(d2, dtype=np.float64).ravel())
+    flat = np.asarray(d2, dtype=np.float64).ravel()
     n_sq = flat.shape[0]
     idx = min(int(math.floor(k_percent * n_sq / 100.0)), n_sq - 1)
-    return float(flat[idx])
+    return float(np.partition(flat, idx)[idx])
 
 
 def local_density(d2: np.ndarray, d_c: float) -> np.ndarray:

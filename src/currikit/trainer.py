@@ -85,6 +85,8 @@ class ClassifierModel:
         """Weights from a Gaussian with variance 2 / fan_in, zero biases."""
         if arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {arch!r}")
+        if hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be at least 1, got {hidden_dim}")
         def gauss(fan_in: int, shape) -> np.ndarray:
             return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
         if arch == "linear":
@@ -227,6 +229,8 @@ def evaluate(model: ClassifierModel, fs_test: FeatureSet, topk: int = 5) -> tupl
     """(top-1 error, top-k error) on the test set."""
     if fs_test.n_samples == 0:
         raise ValueError("empty test set")
+    if topk < 1:
+        raise ValueError(f"topk must be at least 1, got {topk}")
     if topk > model.n_classes:
         raise ValueError("topk exceeds the number of classes")
     probs = model.forward(fs_test.features.astype(np.float64))

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import currikit
+from currikit import density
+from currikit.cli import main
 from cli_support import cli_env, run_cli
 
 
@@ -120,6 +123,17 @@ class TestTrain:
         assert lines[3].split(",")[0] in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("flag, extra, message", [
+        ("--hidden-dim", ["--arch", "mlp"], "hidden_dim must be at least 1"),
+        ("--topk", [], "topk must be at least 1"),
+    ], ids=["hidden-dim", "topk"])
+    def test_zero_size_flag_exit_1(self, workspace, flag, extra, message):
+        r = run_cli(TRAIN + ["--strategies", "A", flag, "0", *extra, "--out-dir", "."],
+                    cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert f"currikit: error: {message}" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_seed_ranges(self):
         from currikit.cli import _seed_list
 
@@ -199,6 +213,21 @@ class TestMalformedInputs:
         assert r.returncode == 1, r.stderr
         assert "currikit: error:" in r.stderr and "bad_run.json" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize("command", [
+        ["design", "--features", "features.bin", "--out-dir", "."],
+        TRAIN + ["--strategies", "D", "--out-dir", "."],
+    ], ids=["design", "train"])
+    def test_matrix_over_budget_exit_1(self, workspace, monkeypatch, capsys, command):
+        # Synth categories hold 30 samples, about 25 after the test holdout.
+        monkeypatch.setattr(density, "MAX_MATRIX_BYTES", 8 * 10 * 10)
+        monkeypatch.chdir(workspace)
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"currikit: error: a category of \d+ samples needs \d+ bytes", err)
+        assert "budget of 800 bytes" in err
 
 
 class TestConfigAndEnv:

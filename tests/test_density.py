@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from currikit import density
 from currikit.density import (
     cutoff_dc,
     delta_and_center,
@@ -53,6 +56,56 @@ class TestDistanceMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             distance_matrix(np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257])
+    def test_bitwise_across_row_blocks(self, n):
+        # Row blocks are 128 wide; these sizes cover one partial block, one
+        # exact block, a one-row tail and a three-block matrix.
+        rng = np.random.default_rng(n)
+        feats = rng.standard_normal((n, 3)) * np.array([1e-3, 1.0, 1e3])
+        feats[::7] *= 1e6
+        if n >= 4:
+            feats[n - 1] = feats[0]
+            feats[n // 2] = feats[1]
+        d2 = distance_matrix(feats)
+        assert np.array_equal(d2, naive_distance_matrix(feats))
+        assert np.array_equal(d2, d2.T)
+        assert np.array_equal(np.diag(d2), np.zeros(n))
+
+    def test_memory_budget(self, monkeypatch):
+        feats = np.random.default_rng(5).standard_normal((30, 4))
+        monkeypatch.setattr(density, "MAX_MATRIX_BYTES", 8 * 30 * 30)
+        assert distance_matrix(feats).shape == (30, 30)
+        monkeypatch.setattr(density, "MAX_MATRIX_BYTES", 8 * 30 * 30 - 1)
+        with pytest.raises(ValueError, match="30 samples needs 7200 bytes"):
+            distance_matrix(feats)
+        with pytest.raises(ValueError, match="30 samples needs 7200 bytes"):
+            density_profile(feats)
+
+
+@st.composite
+def features_with_duplicates(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    feats = draw(arrays(np.float64, (n, d), elements=st.floats(-1e6, 1e6)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=4)):
+        feats[dst] = feats[src]
+    return feats
+
+
+class TestDensityProperties:
+    @settings(deadline=None)
+    @given(features_with_duplicates())
+    def test_distance_matrix_matches_naive(self, feats):
+        assert np.array_equal(distance_matrix(feats), naive_distance_matrix(feats))
+
+    @settings(deadline=None)
+    @given(features_with_duplicates(),
+           st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+    def test_cutoff_matches_brute_force(self, feats, k_percent):
+        d2 = distance_matrix(feats)
+        assert cutoff_dc(d2, k_percent) == brute_cutoff(d2, k_percent)
 
 
 class TestCutoff:
