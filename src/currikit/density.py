@@ -20,7 +20,7 @@ DEFAULT_K_PERCENT = 60.0
 # samples, so 2 GiB allows up to 16384 samples per category.
 MAX_MATRIX_BYTES = 2 * 1024**3
 
-# Rows per block in distance_matrix.
+# Rows per block in distance_matrix and in the cutoff_dc copy.
 _ROW_BLOCK = 128
 
 
@@ -97,15 +97,42 @@ def cutoff_dc(d2: np.ndarray, k_percent: float = DEFAULT_K_PERCENT) -> float:
 
     Of all n^2 entries, diagonal zeros included, in ascending order, the one
     at zero-based index floor(k_percent/100 * n^2) is returned (clamped to
-    the last entry). Monotone non-decreasing in k_percent. A partition finds
-    it without sorting the rest.
+    the last entry). Monotone non-decreasing in k_percent.
+
+    `d2` must be symmetric with a zero diagonal and no negative entry, as
+    ``distance_matrix`` returns it. Then the sorted entries are the n
+    diagonal zeros followed by each strict upper-triangle value twice, so
+    ranks below n are 0.0 and rank r >= n is the upper-triangle value of rank
+    (r - n) // 2. That value is found by partitioning a copy of the upper
+    triangle alone, about half the matrix, in place. The copy goes in blocks
+    of ``_ROW_BLOCK`` rows: the strict upper triangle of the block's diagonal
+    square, then the rectangle right of it.
     """
     if not 0.0 < k_percent < 100.0:
         raise ValueError("k_percent must be in (0, 100)")
-    flat = np.asarray(d2, dtype=np.float64).ravel()
-    n_sq = flat.shape[0]
+    d2 = np.asarray(d2, dtype=np.float64)
+    n = d2.shape[0]
+    n_sq = n * n
     idx = min(int(math.floor(k_percent * n_sq / 100.0)), n_sq - 1)
-    return float(np.partition(flat, idx)[idx])
+    if idx < n:
+        return 0.0
+    upper = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    block = min(_ROW_BLOCK, n)
+    cols = np.arange(block)
+    above_diagonal = cols[:, None] < cols
+    start = 0
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        rows = i1 - i0
+        square = d2[i0:i1, i0:i1][above_diagonal[:rows, :rows]]
+        upper[start:start + square.size] = square
+        start += square.size
+        stop = start + rows * (n - i1)
+        upper[start:stop].reshape(rows, n - i1)[...] = d2[i0:i1, i1:]
+        start = stop
+    rank = (idx - n) // 2
+    upper.partition(rank)
+    return float(upper[rank])
 
 
 def local_density(d2: np.ndarray, d_c: float) -> np.ndarray:

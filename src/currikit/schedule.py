@@ -204,6 +204,11 @@ class CurriculumSampler:
     the nearest lower non-empty level (logged once per stage/level pair).
     `include` masks samples out of every pool without touching the dataset
     (used by the highly-noisy-fraction sweep).
+
+    The clean pools are one index array grouped by category, each category's
+    pool at ``clean_start[c]:clean_start[c] + clean_size[c]`` in ascending
+    sample order. What a stage draws from is worked out on its first batch
+    and reused for the rest.
     """
 
     def __init__(
@@ -225,15 +230,14 @@ class CurriculumSampler:
             np.flatnonzero((self.levels == s) & self.include)
             for s in range(self.n_levels)
         ]
-        self.clean_by_category = [
-            np.flatnonzero((self.levels == 0) & self.include & (fs.labels == c))
-            for c in range(fs.n_categories)
-        ]
-        self.categories_with_clean = np.array(
-            [c for c, idx in enumerate(self.clean_by_category) if idx.size],
-            dtype=np.int64,
-        )
+        clean = self.by_level[0]
+        clean_labels = fs.labels[clean]
+        self.clean_flat = clean[np.argsort(clean_labels, kind="stable")]
+        self.clean_size = np.bincount(clean_labels, minlength=fs.n_categories)
+        self.clean_start = np.cumsum(self.clean_size) - self.clean_size
+        self.categories_with_clean = np.flatnonzero(self.clean_size)
         self._warned: set[tuple[int, int]] = set()
+        self._stage_draws: dict[StageSpec, tuple[list, np.ndarray]] = {}
 
     def _effective_composition(self, stage: StageSpec) -> list[int]:
         counts = list(stage.batch_composition)
@@ -260,31 +264,42 @@ class CurriculumSampler:
             raise ValueError("level 0 subset is empty; cannot build a batch")
         return counts
 
+    def _draws(self, stage: StageSpec) -> tuple[list, np.ndarray]:
+        """The (pool, count) draws of one batch of `stage`, in draw order,
+        and its loss weight per level. A pool of None is the category-balanced
+        clean draw; any other pool is drawn uniformly with replacement."""
+        plan = self._stage_draws.get(stage)
+        if plan is None:
+            if stage.batch_composition is None:
+                pool = np.flatnonzero((self.levels <= stage.stage_index) & self.include)
+                if not pool.size:
+                    raise ValueError("no samples available for an unrestricted stage")
+                draws = [(pool, stage.batch_size)]
+            else:
+                counts = self._effective_composition(stage)
+                draws = [(None if level == 0 else self.by_level[level], count)
+                         for level, count in enumerate(counts) if count]
+            plan = draws, np.asarray(stage.loss_weights, dtype=np.float64)
+            self._stage_draws[stage] = plan
+        return plan
+
     def _draw_clean(self, count: int, rng: np.random.Generator) -> np.ndarray:
         cats = self.categories_with_clean
         replace = cats.size < count
         picked = rng.choice(cats, size=count, replace=replace)
-        out = np.empty(count, dtype=np.int64)
-        for i, c in enumerate(picked):
-            pool = self.clean_by_category[c]
-            out[i] = pool[rng.integers(0, pool.size)]
-        return out
+        # One bounded draw per pick, in pick order: the same generator stream
+        # as a scalar rng.integers(0, size) per pick.
+        return self.clean_flat[
+            self.clean_start[picked] + rng.integers(0, self.clean_size[picked])
+        ]
 
     def next_batch(self, stage: StageSpec, rng: np.random.Generator) -> Batch:
-        if stage.batch_composition is None:
-            pool = np.flatnonzero((self.levels <= stage.stage_index) & self.include)
-            if not pool.size:
-                raise ValueError("no samples available for an unrestricted stage")
-            indices = pool[rng.integers(0, pool.size, size=stage.batch_size)]
-        else:
-            counts = self._effective_composition(stage)
-            parts = []
-            if counts[0]:
-                parts.append(self._draw_clean(counts[0], rng))
-            for level in range(1, len(counts)):
-                if counts[level]:
-                    pool = self.by_level[level]
-                    parts.append(pool[rng.integers(0, pool.size, size=counts[level])])
-            indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        draws, level_weights = self._draws(stage)
+        parts = [
+            self._draw_clean(count, rng) if pool is None
+            else pool[rng.integers(0, pool.size, size=count)]
+            for pool, count in draws
+        ]
+        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         levels = self.levels[indices]
-        return Batch(indices=indices, weights=stage.sample_weights(levels), levels=levels)
+        return Batch(indices=indices, weights=level_weights[levels], levels=levels)

@@ -64,6 +64,9 @@ class ClassifierModel:
     Inputs are standardized with the per-dimension mean/std captured at
     initialization (from the training features), so the learning rates of
     the stage plan behave the same regardless of raw feature scale.
+    :meth:`forward` takes raw feature rows; :meth:`logits` and
+    :meth:`loss_and_grads` take rows already standardized by
+    :meth:`standardize`.
     """
 
     arch: str
@@ -113,35 +116,40 @@ class ClassifierModel:
             input_mean=mean, input_std=std,
         )
 
-    def _standardize(self, x: np.ndarray) -> np.ndarray:
+    def standardize(self, x: np.ndarray) -> np.ndarray:
+        """Raw feature rows in the model's input space, as float64."""
         return (np.asarray(x, dtype=np.float64) - self.input_mean) / self.input_std
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        x = self._standardize(x)
+    def logits(self, z: np.ndarray) -> np.ndarray:
+        """Logits of rows already in the model's input space."""
         if self.arch == "linear":
-            return x @ self.params["W"] + self.params["b"]
-        hidden = np.maximum(x @ self.params["W1"] + self.params["b1"], 0.0)
+            return z @ self.params["W"] + self.params["b"]
+        hidden = np.maximum(z @ self.params["W1"] + self.params["b1"], 0.0)
         return hidden @ self.params["W2"] + self.params["b2"]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities, rows summing to 1."""
-        return softmax(self.logits(x))
+        """Class probabilities of raw feature rows, rows summing to 1."""
+        return softmax(self.logits(self.standardize(x)))
 
     def loss_and_grads(
-        self, x: np.ndarray, labels: np.ndarray, weights: np.ndarray
+        self, z: np.ndarray, labels: np.ndarray, weights: np.ndarray
     ) -> tuple[float, dict[str, np.ndarray]]:
-        x = self._standardize(x)
+        """Mean weighted cross-entropy and its parameter gradients.
+
+        Like :meth:`logits`, it takes rows already in the model's input
+        space, as :meth:`standardize` returns them; the trainer standardizes
+        its training matrix once per run and passes row slices of it.
+        """
         if self.arch == "linear":
-            logits = x @ self.params["W"] + self.params["b"]
-            loss, g = weighted_ce_loss(logits, labels, weights)
-            return loss, {"W": x.T @ g, "b": g.sum(axis=0)}
-        pre = x @ self.params["W1"] + self.params["b1"]
+            loss, g = weighted_ce_loss(self.logits(z), labels, weights)
+            return loss, {"W": z.T @ g, "b": g.sum(axis=0)}
+        pre = z @ self.params["W1"] + self.params["b1"]
         hidden = np.maximum(pre, 0.0)
         logits = hidden @ self.params["W2"] + self.params["b2"]
         loss, g = weighted_ce_loss(logits, labels, weights)
         g_hidden = (g @ self.params["W2"].T) * (pre > 0.0)
         return loss, {
-            "W1": x.T @ g_hidden,
+            "W1": z.T @ g_hidden,
             "b1": g_hidden.sum(axis=0),
             "W2": hidden.T @ g,
             "b2": g.sum(axis=0),
@@ -263,16 +271,19 @@ def per_category_accuracy(
 
 def _stage_pool_loss(
     model: ClassifierModel,
-    fs: FeatureSet,
+    train_z: np.ndarray,
+    labels: np.ndarray,
     levels: np.ndarray,
     include: np.ndarray,
     stage: StageSpec,
 ) -> float:
+    """Mean weighted loss over the stage's pool; `train_z` is the
+    standardized training matrix."""
     pool = np.flatnonzero((levels <= stage.stage_index) & include)
     if not pool.size:
         return math.nan
-    logits = model.logits(fs.features[pool].astype(np.float64))
-    return weighted_ce_loss(logits, fs.labels[pool], stage.sample_weights(levels[pool]))[0]
+    logits = model.logits(train_z[pool])
+    return weighted_ce_loss(logits, labels[pool], stage.sample_weights(levels[pool]))[0]
 
 
 def train(
@@ -315,8 +326,9 @@ def train(
 
     metrics = RunMetrics(strategy=strategy_tag, seed=seed, topk=topk)
     n_levels = sampler.n_levels
-    train_x = fs_train.features.astype(np.float64)
+    train_z = model.standardize(fs_train.features)
     train_y = fs_train.labels
+    param_names = sorted(model.params)
 
     def record(iteration: int, stage: StageSpec) -> None:
         top1, topk_err = evaluate(model, fs_test, topk)
@@ -325,7 +337,7 @@ def train(
                 iteration=iteration,
                 stage=stage.stage_index,
                 train_loss=_stage_pool_loss(
-                    model, fs_train, sampler.levels, sampler.include, stage
+                    model, train_z, train_y, sampler.levels, sampler.include, stage
                 ),
                 test_top1=top1,
                 test_topk=topk_err,
@@ -344,17 +356,19 @@ def train(
                      tuple(float(w) for w in batch.weights))
                 )
             loss, grads = model.loss_and_grads(
-                train_x[batch.indices], train_y[batch.indices], batch.weights
+                train_z[batch.indices], train_y[batch.indices], batch.weights
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"{strategy_tag} seed {seed}: non-finite loss at iteration "
                     f"{iteration} (stage {stage.stage_index}, lr {lr})"
                 )
-            for name in sorted(model.params):
+            for name in param_names:
                 g = grads[name] + WEIGHT_DECAY * model.params[name]
-                velocity[name] = MOMENTUM * velocity[name] - lr * g
-                model.params[name] += velocity[name]
+                v = velocity[name]
+                v *= MOMENTUM
+                v -= lr * g
+                model.params[name] += v
             iteration += 1
             if iteration % eval_every == 0 or iteration == total:
                 record(iteration, stage)

@@ -77,6 +77,22 @@ def unique_rho_mask(rho: np.ndarray) -> np.ndarray:
     return np.array([r in singletons for r in rho.tolist()])
 
 
+def scalar_draw_clean(
+    pools: list[np.ndarray], count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The category-balanced clean draw, one sample at a time: pick `count`
+    categories among those with a non-empty pool (distinct unless there are
+    fewer such categories than `count`), then one uniform sample from each
+    picked category's pool with its own ``rng.integers`` call."""
+    cats = np.array([c for c, pool in enumerate(pools) if pool.size], dtype=np.int64)
+    picked = rng.choice(cats, size=count, replace=cats.size < count)
+    out = np.empty(count, dtype=np.int64)
+    for i, c in enumerate(picked):
+        pool = pools[c]
+        out[i] = pool[rng.integers(0, pool.size)]
+    return out
+
+
 def optimal_kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Exact 1-D k-means by dynamic programming over sorted values.
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,9 @@ class TestDistanceMatrix:
         assert np.array_equal(d2, naive_distance_matrix(feats))
         assert np.array_equal(d2, d2.T)
         assert np.array_equal(np.diag(d2), np.zeros(n))
+        # The cutoff copies the upper triangle in the same row blocks.
+        for k in (0.5, 30.0, 60.0, 99.9):
+            assert cutoff_dc(d2, k) == brute_cutoff(d2, k)
 
     def test_memory_budget(self, monkeypatch):
         feats = np.random.default_rng(5).standard_normal((30, 4))
@@ -135,6 +140,18 @@ class TestCutoff:
             cutoff_dc(np.zeros((1, 1)), 0.0)
         with pytest.raises(ValueError):
             cutoff_dc(np.zeros((1, 1)), 100.0)
+
+    def test_extra_peak_at_most_half_the_matrix(self):
+        # The cutoff copies only the strict upper triangle, not all n^2 entries.
+        d2 = distance_matrix(np.random.default_rng(13).standard_normal((1000, 8)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cutoff_dc(d2, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 0.55 * d2.nbytes
 
 
 class TestLocalDensity:

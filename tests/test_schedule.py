@@ -2,8 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from currikit.curriculum import CurriculumParams, design_curriculum
+from currikit.curriculum import CurriculumDesign, CurriculumParams, design_curriculum
 from currikit.data import FeatureSet, SynthConfig, generate_synthetic
 from currikit.schedule import (
     CurriculumSampler,
@@ -13,6 +14,7 @@ from currikit.schedule import (
     lr_at,
     plain_schedule,
 )
+from oracles import scalar_draw_clean
 
 
 class TestDefaultSchedule:
@@ -72,31 +74,36 @@ class TestDefaultSchedule:
         assert lr_at(plan, 10_000) == 0.001
 
 
-def planted_sampler(n_categories=20, per_category=12, counts=(6, 3, 3)):
-    """FeatureSet + curriculum with manually planted levels."""
-    n = n_categories * per_category
-    rng = np.random.default_rng(0)
+def labelled_design(labels, levels, n_categories):
+    """FeatureSet + 3-subset curriculum with the given per-sample labels and
+    levels. The features are zeros: the sampler never reads them."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
     fs = FeatureSet(
-        features=rng.standard_normal((n, 3)).astype(np.float32),
-        labels=np.repeat(np.arange(n_categories), per_category),
-        sample_ids=tuple(f"s{i:05d}" for i in range(n)),
+        features=np.zeros((n, 1), dtype=np.float32),
+        labels=labels,
+        sample_ids=tuple(f"s{i:06d}" for i in range(n)),
         category_names=tuple(f"c{i}" for i in range(n_categories)),
     )
-    levels = np.tile(
-        np.concatenate([np.full(c, lv) for lv, c in enumerate(counts)]), n_categories
-    )
-    from currikit.curriculum import CurriculumDesign
-
     cd = CurriculumDesign(
         params=CurriculumParams(n_subsets=3),
         sample_ids=fs.sample_ids,
-        categories=fs.labels.copy(),
-        levels=levels,
+        categories=labels,
+        levels=np.asarray(levels, dtype=np.int64),
         dist_to_center=np.zeros(n),
-        center_ids=tuple(f"s{i * per_category:05d}" for i in range(n_categories)),
+        center_ids=(fs.sample_ids[0],) * n_categories,
         d_c=np.zeros(n_categories),
     )
     return fs, cd
+
+
+def planted_sampler(n_categories=20, per_category=12, counts=(6, 3, 3)):
+    """FeatureSet + curriculum with manually planted levels."""
+    labels = np.repeat(np.arange(n_categories), per_category)
+    levels = np.tile(
+        np.concatenate([np.full(c, lv) for lv, c in enumerate(counts)]), n_categories
+    )
+    return labelled_design(labels, levels, n_categories)
 
 
 class TestSampler:
@@ -195,3 +202,121 @@ class TestSamplerOnRealDesign:
         batch = CurriculumSampler(cd, fs).next_batch(stage, np.random.default_rng(9))
         assert batch.size == 16
         assert batch.level_counts(3) == (8, 4, 4)
+
+
+def labelled_sampler(labels, levels, n_categories, include=None):
+    fs, cd = labelled_design(labels, levels, n_categories)
+    return CurriculumSampler(cd, fs, include)
+
+
+def shuffled_pools(clean_sizes, noisy_per_category=2, seed=0):
+    """(labels, levels) with the given clean pool size per category plus a
+    few noisy samples each, in a shuffled sample order."""
+    labels = np.concatenate([
+        np.full(size + noisy_per_category, c) for c, size in enumerate(clean_sizes)])
+    levels = np.concatenate([
+        np.r_[np.zeros(size, dtype=np.int64), np.arange(noisy_per_category) % 2 + 1]
+        for size in clean_sizes])
+    order = np.random.default_rng(seed).permutation(labels.size)
+    return labels[order], levels[order]
+
+
+class TestCleanDrawStream:
+    """The clean draw returns the scalar loop's indices and leaves the
+    generator in the same state after every batch."""
+
+    def _check(self, labels, levels, n_categories, counts, include=None):
+        sampler = labelled_sampler(labels, levels, n_categories, include)
+        keep = np.ones(labels.size, dtype=bool) if include is None else include
+        pools = [np.flatnonzero((levels == 0) & keep & (labels == c))
+                 for c in range(n_categories)]
+        for seed in range(4):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for count in counts:
+                stage = StageSpec(0, count, (count, 0, 0), (1.0, 0.5, 0.5), 1, ((0, 0.1),))
+                for _ in range(5):
+                    batch = sampler.next_batch(stage, rng)
+                    expected = scalar_draw_clean(pools, count, oracle_rng)
+                    assert np.array_equal(batch.indices, expected)
+                    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_pools_of_size_one(self):
+        labels, levels = shuffled_pools([1] * 12)
+        self._check(labels, levels, 12, counts=(1, 5, 12, 13, 40))
+
+    def test_very_uneven_pool_sizes(self):
+        labels, levels = shuffled_pools([1, 2, 3, 40_000, 1, 7, 1_000, 65_537])
+        self._check(labels, levels, 8, counts=(3, 8, 20))
+
+    def test_more_picks_than_categories(self):
+        labels, levels = shuffled_pools([4, 9, 2])
+        self._check(labels, levels, 3, counts=(4, 16, 64))
+
+    def test_include_mask_empties_categories(self):
+        labels, levels = shuffled_pools([6] * 10)
+        include = ~np.isin(labels, [2, 5, 9]) | (levels > 0)
+        self._check(labels, levels, 10, counts=(4, 7, 8, 25), include=include)
+
+
+def expected_composition(counts, pool_sizes):
+    """Each empty level's picks move to the nearest lower non-empty level,
+    or to level 0 when every lower level is empty."""
+    counts = list(counts)
+    for level in range(len(counts) - 1, 0, -1):
+        if counts[level] and not pool_sizes[level]:
+            target = max((t for t in range(level) if pool_sizes[t]), default=0)
+            counts[target] += counts[level]
+            counts[level] = 0
+    return counts
+
+
+@st.composite
+def sampler_cases(draw):
+    n_categories = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    labels = np.array(draw(st.lists(st.integers(0, n_categories - 1), min_size=n, max_size=n)))
+    levels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    include = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    stage_index = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        composition = None
+        batch_size = draw(st.integers(1, 12))
+    else:
+        composition = tuple(draw(st.integers(0, 12)) if level <= stage_index else 0
+                            for level in range(3))
+        batch_size = sum(composition)
+    stage = StageSpec(stage_index, batch_size, composition, (1.0, 0.5, 0.25), 1, ((0, 0.1),))
+    return labels, levels, include, n_categories, stage, draw(st.integers(0, 2**32))
+
+
+class TestSamplerProperties:
+    @settings(deadline=None)
+    @given(sampler_cases())
+    def test_quota_and_pool_invariants(self, case):
+        labels, levels, include, n_categories, stage, seed = case
+        sampler = labelled_sampler(labels, levels, n_categories, include)
+        rng = np.random.default_rng(seed)
+        pool_sizes = [int(((levels == s) & include).sum()) for s in range(3)]
+        if stage.batch_composition is None:
+            expected = None
+            empty = not ((levels <= stage.stage_index) & include).any()
+        else:
+            expected = expected_composition(stage.batch_composition, pool_sizes)
+            empty = expected[0] > 0 and pool_sizes[0] == 0
+        if empty:
+            with pytest.raises(ValueError):
+                sampler.next_batch(stage, rng)
+            return
+        clean_categories = len(set(labels[(levels == 0) & include].tolist()))
+        for _ in range(3):
+            batch = sampler.next_batch(stage, rng)
+            assert batch.size == stage.batch_size
+            assert include[batch.indices].all()
+            assert np.array_equal(batch.levels, levels[batch.indices])
+            assert (batch.levels <= stage.stage_index).all()
+            assert np.array_equal(batch.weights, np.array([1.0, 0.5, 0.25])[batch.levels])
+            if expected is not None:
+                assert list(batch.level_counts(3)) == expected
+                clean = labels[batch.indices[batch.levels == 0]]
+                if expected[0] <= clean_categories:
+                    assert len(set(clean.tolist())) == clean.size
