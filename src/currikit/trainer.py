@@ -233,8 +233,12 @@ def top_k_predictions(probs: np.ndarray, k: int) -> np.ndarray:
     return order[:, :k]
 
 
-def evaluate(model: ClassifierModel, fs_test: FeatureSet, topk: int = 5) -> tuple[float, float]:
-    """(top-1 error, top-k error) on the test set."""
+def evaluate(
+    model: ClassifierModel, fs_test: FeatureSet, topk: int = 5, *, by_category: bool = False
+) -> tuple:
+    """(top-1 error, top-k error) on the test set. With `by_category`, the
+    per-category (top-1, top-k) accuracies follow, from the same ranking;
+    nan for categories absent from the test set."""
     if fs_test.n_samples == 0:
         raise ValueError("empty test set")
     if topk < 1:
@@ -244,29 +248,20 @@ def evaluate(model: ClassifierModel, fs_test: FeatureSet, topk: int = 5) -> tupl
     probs = model.forward(fs_test.features.astype(np.float64))
     ranked = top_k_predictions(probs, topk)
     labels = fs_test.labels
-    top1_err = float((ranked[:, 0] != labels).mean())
-    topk_err = float((ranked != labels[:, None]).all(axis=1).mean())
-    return top1_err, topk_err
-
-
-def per_category_accuracy(
-    model: ClassifierModel, fs_test: FeatureSet, topk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-category (top-1, top-k) test accuracies; nan for absent categories."""
-    probs = model.forward(fs_test.features.astype(np.float64))
-    ranked = top_k_predictions(probs, topk)
-    labels = fs_test.labels
-    hit1 = ranked[:, 0] == labels
-    hitk = (ranked == labels[:, None]).any(axis=1)
+    miss1 = ranked[:, 0] != labels
+    missk = (ranked != labels[:, None]).all(axis=1)
+    errors = (float(miss1.mean()), float(missk.mean()))
+    if not by_category:
+        return errors
     c = fs_test.n_categories
     acc1 = np.full(c, math.nan)
     acck = np.full(c, math.nan)
     for cat in range(c):
         mask = labels == cat
         if mask.any():
-            acc1[cat] = float(hit1[mask].mean())
-            acck[cat] = float(hitk[mask].mean())
-    return acc1, acck
+            acc1[cat] = float((~miss1[mask]).mean())
+            acck[cat] = float((~missk[mask]).mean())
+    return errors + (acc1, acck)
 
 
 def _stage_pool_loss(
@@ -307,7 +302,8 @@ def train(
     them. Evaluation happens at iteration 0, every `eval_every` iterations
     (default: a tenth of the run) and at the final iteration; each point
     records the mean weighted loss over the current stage's sample pool and
-    the test errors. If `batch_log` is a list, a (iteration, stage,
+    the test errors; the final point's ranking of the test set also gives
+    the per-category accuracies. If `batch_log` is a list, a (iteration, stage,
     level_counts, weights) tuple is appended per batch. `include_mask`
     removes samples from the sampling pools without changing the dataset
     (and therefore without changing input standardization).
@@ -331,7 +327,10 @@ def train(
     param_names = sorted(model.params)
 
     def record(iteration: int, stage: StageSpec) -> None:
-        top1, topk_err = evaluate(model, fs_test, topk)
+        final = iteration == total
+        top1, topk_err, *by_category = evaluate(model, fs_test, topk, by_category=final)
+        if final:
+            metrics.per_category_top1, metrics.per_category_topk = by_category
         metrics.points.append(
             EvalPoint(
                 iteration=iteration,
@@ -373,13 +372,8 @@ def train(
             if iteration % eval_every == 0 or iteration == total:
                 record(iteration, stage)
 
-    if metrics.points[-1].iteration != iteration:
-        record(iteration, schedule[-1])
     metrics.final_top1 = metrics.points[-1].test_top1
     metrics.final_topk = metrics.points[-1].test_topk
-    acc1, acck = per_category_accuracy(model, fs_test, topk)
-    metrics.per_category_top1 = acc1
-    metrics.per_category_topk = acck
     return model, metrics
 
 

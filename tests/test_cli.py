@@ -263,3 +263,16 @@ def test_child_imports_the_tested_currikit(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert Path(r.stdout.strip()).resolve() == Path(currikit.__file__).resolve()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # Every command is a fresh process; importing scipy would cost more than
+    # anything it computes here.
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, currikit.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

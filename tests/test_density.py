@@ -193,7 +193,8 @@ class TestDeltaAndCenter:
         for _ in range(15):
             feats = rng.standard_normal((int(rng.integers(2, 30)), 4))
             prof = density_profile(feats)
-            assert (prof.nearest_higher == -1).sum() == 1
+            _, nearest, _ = delta_and_center(distance_matrix(feats), prof.rho)
+            assert (nearest == -1).sum() == 1
 
     def test_matches_literal_rule_at_untied_samples(self):
         # Fully untied rho cannot occur for n >= 2 (degree-sequence pigeonhole),
@@ -220,11 +221,13 @@ class TestDeltaAndCenter:
         prof = density_profile(feats)
         perm = rng.permutation(18)
         prof_p = density_profile(feats[perm])
+        delta = delta_and_center(distance_matrix(feats), prof.rho)[0]
+        delta_p = delta_and_center(distance_matrix(feats[perm]), prof_p.rho)[0]
         back = np.empty(18, dtype=int)
         back[perm] = np.arange(18)
         assert np.array_equal(prof_p.rho[back], prof.rho)
         mask = unique_rho_mask(prof.rho)
-        assert np.array_equal(prof_p.delta[back][mask], prof.delta[mask])
+        assert np.array_equal(delta_p[back][mask], delta[mask])
 
 
 class TestDensityProfile:
@@ -235,4 +238,60 @@ class TestDensityProfile:
         d2 = distance_matrix(feats)
         assert prof.d_c == cutoff_dc(d2, 60)
         assert np.array_equal(prof.rho, local_density(d2, prof.d_c))
-        assert prof.center == int(np.argmax(prof.delta))
+        assert prof.center == delta_and_center(d2, prof.rho)[2]
+
+    def test_extra_peak_under_the_matrix(self):
+        # The condensed approximate triangle (half the matrix) and row
+        # blocks, not the n x n matrix and a copy of its triangle.
+        n = 2000
+        feats = np.random.default_rng(14).standard_normal((n, 64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            density_profile(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 0.8 * 8 * n * n
+
+
+def reference_profile(feats, k_percent):
+    """(d_c, rho, center, center_dist) composed from the reference functions."""
+    d2 = distance_matrix(feats)
+    d_c = cutoff_dc(d2, k_percent)
+    rho = local_density(d2, d_c)
+    center = delta_and_center(d2, rho)[2]
+    return d_c, rho, center, d2[center]
+
+
+@st.composite
+def profile_features(draw):
+    # Sizes around the 128-row blocks; small-integer grids tie many pair
+    # distances at the cutoff; the 1e6 offset needs the centering; at 1e150
+    # and 1e160 the approximations overflow and every pair is re-checked.
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 127, 128, 129, 257]))
+    d = draw(st.integers(1, 4))
+    elements = st.integers(-3, 3) if draw(st.booleans()) else st.floats(-1e3, 1e3)
+    feats = draw(arrays(np.float64, (n, d), elements=elements))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=4)):
+        feats[dst] = feats[src]
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e150, 1e160]))
+    feats = feats * scale + draw(st.sampled_from([0.0, 1e6]))
+    if scale < 1e30 and draw(st.booleans()):
+        feats = feats.astype(np.float32)
+    return feats
+
+
+class TestProfileMatchesReferences:
+    @settings(deadline=None)
+    @given(profile_features(),
+           st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+    def test_bytes_equal_the_composed_references(self, feats, k_percent):
+        with np.errstate(over="ignore"):
+            d_c, rho, center, center_dist = reference_profile(feats, k_percent)
+            prof = density_profile(feats, k_percent)
+        assert np.float64(prof.d_c).tobytes() == np.float64(d_c).tobytes()
+        assert prof.rho.dtype == rho.dtype and prof.rho.tobytes() == rho.tobytes()
+        assert prof.center == center
+        assert prof.center_dist.tobytes() == center_dist.tobytes()

@@ -12,7 +12,6 @@ from currikit.trainer import (
     TrainingDiverged,
     evaluate,
     holdout_split,
-    per_category_accuracy,
     top_k_predictions,
     train,
     weighted_ce_loss,
@@ -249,7 +248,7 @@ class TestTrain:
         cd = design_curriculum(tr, CurriculumParams(seed=2))
         model, metrics = train("ModelD", tr, te, cd, default_schedule(16, 0.0002), 1)
         assert metrics.per_category_top1.shape == (6,)
-        acc1, acck = per_category_accuracy(model, te, 5)
+        acc1, acck = evaluate(model, te, 5, by_category=True)[2:]
         assert np.allclose(acc1, metrics.per_category_top1, equal_nan=True)
         assert np.allclose(acck, metrics.per_category_topk, equal_nan=True)
 
