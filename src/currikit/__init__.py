@@ -40,8 +40,7 @@ from .density import (
 from .experiments import (
     STRATEGY_TAGS,
     build_strategy,
-    noisy_fraction_sweep,
-    run_ablation,
+    run_grid,
     summarize,
 )
 from .schedule import (

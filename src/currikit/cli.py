@@ -27,9 +27,9 @@ from .analysis import (
     subset_noise_rates,
 )
 from .curriculum import (
+    DESIGN_METHODS,
     CurriculumParams,
-    design_curriculum,
-    design_curriculum_kmeans_baseline,
+    design,
     level_name,
     load_curriculum,
     save_curriculum,
@@ -44,15 +44,9 @@ from .data import (
     save_features,
     save_truth,
 )
-from .experiments import (
-    STRATEGY_TAGS,
-    CurriculumCache,
-    build_strategy,
-    noisy_fraction_sweep,
-    summarize,
-)
+from .experiments import STRATEGY_TAGS, run_grid, summarize
 from .fileio import atomic_write_text
-from .trainer import RunMetrics, holdout_split, train
+from .trainer import RunMetrics, holdout_split
 
 OUT_DIR_ENV = "CURRIKIT_OUT"
 
@@ -165,8 +159,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
         kmeans_max_iters=int(args.kmeans_max_iters),
         seed=int(args.seed),
     )
-    design_fn = design_curriculum if args.method == "density" else design_curriculum_kmeans_baseline
-    cd = design_fn(fs, params)
+    cd = design(fs, params, args.method)
     out = Path(args.out_dir) / args.out_name
     save_curriculum(cd, out)
     n_subsets = params.n_subsets
@@ -197,6 +190,14 @@ def _metrics_csv(runs: list[RunMetrics]) -> str:
     return out.getvalue()
 
 
+def _batch_log_csv(batch_log: list) -> str:
+    out = io.StringIO()
+    out.write("iteration,level_counts,weights\n")
+    for iteration, _, counts, weights in batch_log:
+        out.write(f"{iteration},{';'.join(map(str, counts))},{';'.join(map(repr, weights))}\n")
+    return out.getvalue()
+
+
 def _run_file_tag(tag: str) -> str:
     return tag.replace("@", "_").replace("=", "").replace(".", "p")
 
@@ -218,26 +219,42 @@ def _cmd_train(args: argparse.Namespace) -> int:
     fs_train, _, fs_test = holdout_split(fs, truth, args.test_frac, args.split_seed)
     params = CurriculumParams(
         k_percent=float(args.k_percent),
-        n_subsets=3,
         kmeans_max_iters=int(args.kmeans_max_iters),
         seed=int(args.design_seed),
     )
-    out_dir = Path(args.out_dir)
-    topk = int(args.topk)
-    common = dict(arch=args.arch, hidden_dim=int(args.hidden_dim), topk=topk)
-
     if args.noisy_fraction:
+        tags = ["ModelD"]
         fractions = [f / 100.0 for f in _float_list(args.noisy_fraction)]
-        results = noisy_fraction_sweep(
-            fractions, seeds, fs_train, fs_test, params,
-            batch_size=int(args.batch_size), scale=float(args.scale), **common,
-        )
-        runs = [m for _, m in results]
+    else:
+        tags = [t.strip() for t in args.strategies.split(",") if t.strip()]
+        alias = {"A": "ModelA", "B": "ModelB", "C": "ModelC", "D": "ModelD",
+                 "D_kmeans": "ModelD_kmeans"}
+        tags = [alias.get(t, t) for t in tags]
+        bad = [t for t in tags if t not in STRATEGY_TAGS]
+        if bad:
+            raise UsageError(f"unknown strategy {bad[0]!r}; choose from {', '.join(STRATEGY_TAGS)}")
+        fractions = None
+    out_dir = Path(args.out_dir)
+    runs: list[RunMetrics] = []
+    for metrics, batch_log in run_grid(
+        tags, seeds, fs_train, fs_test, params, fractions=fractions,
+        batch_size=int(args.batch_size), scale=float(args.scale), arch=args.arch,
+        hidden_dim=int(args.hidden_dim), topk=int(args.topk), batch_log=args.batch_log,
+    ):
+        runs.append(metrics)
+        name = f"{_run_file_tag(metrics.strategy)}_s{metrics.seed}"
+        if fractions is None:
+            atomic_write_text(out_dir / f"run_{name}.json", _json_text(metrics.to_dict()))
+        if batch_log is not None:
+            atomic_write_text(out_dir / f"batches_{name}.csv", _batch_log_csv(batch_log))
+
+    if fractions is not None:
         atomic_write_text(out_dir / "sweep_metrics.csv", _metrics_csv(runs))
+        run_fractions = [f for f in fractions for _ in seeds]
         table = {}
         for fraction in fractions:
-            errs = [m.final_top1 for f, m in results if f == fraction]
-            errs_k = [m.final_topk for f, m in results if f == fraction]
+            errs = [m.final_top1 for f, m in zip(run_fractions, runs) if f == fraction]
+            errs_k = [m.final_topk for f, m in zip(run_fractions, runs) if f == fraction]
             table[f"{fraction:g}"] = {
                 "mean_top1": float(np.mean(errs)),
                 "mean_topk": float(np.mean(errs_k)),
@@ -249,35 +266,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(f"wrote {out_dir / 'sweep_metrics.csv'} and {out_dir / 'sweep_summary.json'}")
         return 0
 
-    tags = [t.strip() for t in args.strategies.split(",") if t.strip()]
-    alias = {"A": "ModelA", "B": "ModelB", "C": "ModelC", "D": "ModelD",
-             "D_kmeans": "ModelD_kmeans"}
-    tags = [alias.get(t, t) for t in tags]
-    bad = [t for t in tags if t not in STRATEGY_TAGS]
-    if bad:
-        raise UsageError(f"unknown strategy {bad[0]!r}; choose from {', '.join(STRATEGY_TAGS)}")
-    curricula = CurriculumCache(fs_train, params)
-    runs: list[RunMetrics] = []
-    for tag in tags:
-        cd, schedule = build_strategy(tag, curricula, int(args.batch_size), float(args.scale))
-        weight_maps = {s.stage_index: s.loss_weights for s in schedule}
-        for seed in seeds:
-            batch_log = [] if args.batch_log else None
-            _, metrics = train(
-                tag, fs_train, fs_test, cd, schedule, seed, batch_log=batch_log, **common
-            )
-            runs.append(metrics)
-            run_path = out_dir / f"run_{_run_file_tag(tag)}_s{seed}.json"
-            atomic_write_text(run_path, _json_text(metrics.to_dict()))
-            if batch_log is not None:
-                out = io.StringIO()
-                out.write("iteration,level_counts,weights\n")
-                for iteration, stage_index, counts, _ in batch_log:
-                    weights = ";".join(repr(w) for w in weight_maps[stage_index])
-                    out.write(f"{iteration},{';'.join(map(str, counts))},{weights}\n")
-                atomic_write_text(
-                    out_dir / f"batches_{_run_file_tag(tag)}_s{seed}.csv", out.getvalue()
-                )
     atomic_write_text(out_dir / "metrics.csv", _metrics_csv(runs))
     summary = summarize(runs)
     atomic_write_text(out_dir / "summary.json", _json_text(summary))
@@ -392,7 +380,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_common(p)
     p.add_argument("--features", required=True)
     p.add_argument("--format", choices=FORMATS + ("auto",), default="auto")
-    p.add_argument("--method", choices=("density", "kmeans"), default="density")
+    p.add_argument("--method", choices=DESIGN_METHODS, default="density")
     p.add_argument("--k-percent", type=float, default=60.0)
     p.add_argument("--subsets", type=int, default=3)
     p.add_argument("--kmeans-max-iters", type=int, default=100)

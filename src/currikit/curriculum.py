@@ -325,6 +325,19 @@ def design_curriculum_kmeans_baseline(
     return _design(fs, params, _kmeans_rule)
 
 
+DESIGN_METHODS = ("density", "kmeans")
+
+
+def design(fs: FeatureSet, params: CurriculumParams, method: str) -> CurriculumDesign:
+    """The curriculum of design `method`: "density" for
+    :func:`design_curriculum`, "kmeans" for the k-means baseline."""
+    if method == "density":
+        return design_curriculum(fs, params)
+    if method == "kmeans":
+        return design_curriculum_kmeans_baseline(fs, params)
+    raise CurriculumError(f"unknown design method {method!r}; expected one of {DESIGN_METHODS}")
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -6,7 +6,8 @@ Two on-disk feature formats are supported:
   length-prefixed UTF-8 category names, then N records of (length-prefixed
   sample id, u32 label, d little-endian float32 values). All integers are
   little-endian u32. This format is lossless.
-* csv: header ``id,label,f0..f{d-1}``, UTF-8, numerics unquoted. Category
+* csv: header ``id,label,f0..f{d-1}``, UTF-8, cells unquoted, so a sample
+  id holding a comma, a double quote or a line break cannot be written. Category
   names and the category count are not representable in this format; the
   loader infers ``C = max(label) + 1`` and default names unless the caller
   supplies them.
@@ -52,6 +53,13 @@ FORMATS = ("binary", "csv")
 
 class DatasetError(ValueError):
     """Malformed dataset file or invalid in-memory dataset."""
+
+
+def _label_cell(text: str, row: int, where: str = "") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DatasetError(f"{where}row {row}: label {text!r} is not an integer") from None
 
 
 def _format_f32(value: np.float32) -> str:
@@ -287,12 +295,24 @@ def _features_from_binary(data: bytes) -> FeatureSet:
 # csv format
 
 
+_CSV_UNSAFE = frozenset(',"\r\n')
+
+
+def _csv_id(sid: str) -> str:
+    if not _CSV_UNSAFE.isdisjoint(sid):
+        raise DatasetError(
+            f"sample id {sid!r} holds a comma, a quote or a line break; "
+            "the csv files do not quote their cells"
+        )
+    return sid
+
+
 def _features_to_csv(fs: FeatureSet) -> str:
     out = io.StringIO()
     header = ["id", "label"] + [f"f{k}" for k in range(fs.n_features)]
     out.write(",".join(header) + "\n")
     for i in range(fs.n_samples):
-        cells = [fs.sample_ids[i], str(int(fs.labels[i]))]
+        cells = [_csv_id(fs.sample_ids[i]), str(int(fs.labels[i]))]
         cells.extend(_format_f32(v) for v in fs.features[i])
         out.write(",".join(cells) + "\n")
     return out.getvalue()
@@ -323,10 +343,7 @@ def _features_from_csv(
         if len(row) != d + 2:
             raise DatasetError(f"row {i} has {len(row)} cells, expected {d + 2}")
         ids.append(row[0])
-        try:
-            labels.append(int(row[1]))
-        except ValueError:
-            raise DatasetError(f"row {i}: label {row[1]!r} is not an integer") from None
+        labels.append(_label_cell(row[1], i))
         try:
             vec = np.array(row[2:], dtype=np.float32)
         except ValueError:
@@ -391,7 +408,7 @@ def save_truth(fs: FeatureSet, truth: SyntheticTruth, path: str | Path) -> None:
     out = io.StringIO()
     out.write("id,true_label,noise_kind\n")
     for sid, label, kind in zip(fs.sample_ids, truth.true_labels, truth.noise_kind):
-        out.write(f"{sid},{int(label)},{kind}\n")
+        out.write(f"{_csv_id(sid)},{int(label)},{kind}\n")
     atomic_write_text(path, out.getvalue())
 
 
@@ -404,13 +421,14 @@ def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     ids: list[str] = []
     labels: list[int] = []
     kinds: list[str] = []
+    where = f"{path}: "
     for i, row in enumerate(reader):
         if not row:
             continue
         if len(row) != 3:
             raise DatasetError(f"row {i} has {len(row)} cells, expected 3")
         ids.append(row[0])
-        labels.append(int(row[1]))
+        labels.append(_label_cell(row[1], i, where))
         kinds.append(row[2])
     return tuple(ids), SyntheticTruth(
         true_labels=np.array(labels, dtype=np.int64), noise_kind=tuple(kinds)
@@ -430,12 +448,15 @@ def load_reference_labels(path: str | Path) -> dict[str, int]:
     else:
         raise DatasetError(f"unrecognized reference header {header!r}")
     out: dict[str, int] = {}
+    where = f"{path}: "
     for i, row in enumerate(reader):
         if not row:
             continue
+        if len(row) != len(header):
+            raise DatasetError(f"row {i} has {len(row)} cells, expected {len(header)}")
         if row[0] in out:
             raise DatasetError(f"duplicate id {row[0]!r} at row {i}")
-        out[row[0]] = int(row[1])
+        out[row[0]] = _label_cell(row[1], i, where)
     return out
 
 

@@ -13,21 +13,21 @@ total iteration budget, so runs differ only in which data each stage admits:
                 the highly-noisy subset is never sampled.
 * ModelD        density design; all 3 stages.
 * ModelD_kmeans k-means baseline design; all 3 stages.
+
+``run_grid`` is the one loop that trains them: strategies x seeds, or the
+highly-noisy-fraction sweep, ModelD with a share of its highly-noisy subset
+masked out.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
 
-from .curriculum import (
-    CurriculumDesign,
-    CurriculumParams,
-    design_curriculum,
-    design_curriculum_kmeans_baseline,
-)
+from .curriculum import CurriculumDesign, CurriculumParams, design
 from .data import FeatureSet
 from .schedule import StageSpec, default_schedule, plain_schedule
 from .seeding import component_rng
@@ -45,24 +45,17 @@ STRATEGY_TAGS = tuple(_STRATEGIES)
 
 
 class CurriculumCache:
-    """Designs each needed (method, n_subsets) curriculum exactly once."""
+    """Designs each needed 3-subset curriculum exactly once per method."""
 
     def __init__(self, fs_train: FeatureSet, params: CurriculumParams):
         self.fs_train = fs_train
-        self.params = params
-        self._cache: dict[tuple[str, int], CurriculumDesign] = {}
+        self.params = replace(params, n_subsets=3)
+        self._cache: dict[str, CurriculumDesign] = {}
 
-    def get(self, method: str, n_subsets: int) -> CurriculumDesign:
-        key = (method, n_subsets)
-        if key not in self._cache:
-            params = replace(self.params, n_subsets=n_subsets)
-            if method == "density":
-                self._cache[key] = design_curriculum(self.fs_train, params)
-            elif method == "kmeans":
-                self._cache[key] = design_curriculum_kmeans_baseline(self.fs_train, params)
-            else:
-                raise ValueError(f"unknown design method {method!r}")
-        return self._cache[key]
+    def get(self, method: str) -> CurriculumDesign:
+        if method not in self._cache:
+            self._cache[method] = design(self.fs_train, self.params, method)
+        return self._cache[method]
 
 
 def build_strategy(
@@ -72,38 +65,10 @@ def build_strategy(
     if tag not in _STRATEGIES:
         raise ValueError(f"unknown strategy {tag!r}; expected one of {STRATEGY_TAGS}")
     method, n_stages = _STRATEGIES[tag]
-    cd = curricula.get(method, 3)
+    cd = curricula.get(method)
     if n_stages is None:
         return cd, plain_schedule(batch_size, scale)
     return cd, default_schedule(batch_size, scale, n_stages)
-
-
-def run_ablation(
-    tags: list[str],
-    seeds: list[int],
-    fs_train: FeatureSet,
-    fs_test: FeatureSet,
-    params: CurriculumParams,
-    *,
-    batch_size: int = 64,
-    scale: float = 0.001,
-    arch: str = "linear",
-    hidden_dim: int = 32,
-    topk: int = 5,
-) -> list[RunMetrics]:
-    """Every strategy x seed combination, in deterministic order."""
-    curricula = CurriculumCache(fs_train, params)
-    strategies = {tag: build_strategy(tag, curricula, batch_size, scale) for tag in tags}
-    results = []
-    for tag in tags:
-        cd, schedule = strategies[tag]
-        for seed in seeds:
-            _, metrics = train(
-                tag, fs_train, fs_test, cd, schedule, seed,
-                arch=arch, hidden_dim=hidden_dim, topk=topk,
-            )
-            results.append(metrics)
-    return results
 
 
 def restrict_highly_noisy(
@@ -125,48 +90,48 @@ def restrict_highly_noisy(
     return keep
 
 
-def noisy_fraction_sweep(
-    fractions: list[float],
+def run_grid(
+    tags: list[str],
     seeds: list[int],
     fs_train: FeatureSet,
     fs_test: FeatureSet,
     params: CurriculumParams,
     *,
+    fractions: list[float] | None = None,
     batch_size: int = 64,
     scale: float = 0.001,
     arch: str = "linear",
     hidden_dim: int = 32,
     topk: int = 5,
-) -> list[tuple[float, RunMetrics]]:
-    """Rerun the three-stage curriculum sampling from only a fraction of the
-    highly-noisy subset, for every fraction x seed. The kept subset is a
-    seeded uniform draw; excluded samples are masked out of the sampler
-    pools while the dataset (and input standardization) stays fixed, so runs
-    differ only in the data the sampler may draw. At fraction 1 the run is
-    identical to ModelD; at fraction 0 no highly-noisy sample is ever used
-    and the batch mix reduces to the clean+noisy two-subset schedule."""
-    if any(f < 0 or f > 1 for f in fractions):
+    batch_log: bool = False,
+) -> Iterator[tuple[RunMetrics, list | None]]:
+    """Train every strategy x seed, or with `fractions` every strategy x
+    fraction x seed, and yield each run's (metrics, batch log or None) in
+    that order. Each curriculum is designed once.
+
+    A fraction run keeps only a seeded uniform share of the highly-noisy
+    subset (:func:`restrict_highly_noisy`) and is tagged
+    ``"{tag}@hn={fraction:g}"``. Excluded samples are masked out of the
+    sampler pools while the dataset (and input standardization) stays fixed,
+    so runs differ only in the data the sampler may draw. For ModelD,
+    fraction 1 is identical to ModelD itself, and at fraction 0 no
+    highly-noisy sample is ever used, so the batch mix reduces to ModelC's
+    clean+noisy subsets."""
+    if fractions is not None and any(f < 0 or f > 1 for f in fractions):
         raise ValueError("fractions must lie in [0, 1]")
-    cd3 = design_curriculum(fs_train, replace(params, n_subsets=3))
-    schedule = default_schedule(batch_size, scale)
-    results = []
-    for fraction in fractions:
-        for seed in seeds:
-            keep = restrict_highly_noisy(cd3, fraction, seed)
-            _, metrics = train(
-                f"ModelD@hn={fraction:g}",
-                fs_train,
-                fs_test,
-                cd3,
-                schedule,
-                seed,
-                arch=arch,
-                hidden_dim=hidden_dim,
-                topk=topk,
-                include_mask=keep,
-            )
-            results.append((fraction, metrics))
-    return results
+    curricula = CurriculumCache(fs_train, params)
+    for tag in tags:
+        cd, schedule = build_strategy(tag, curricula, batch_size, scale)
+        for fraction in [None] if fractions is None else fractions:
+            run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
+            for seed in seeds:
+                keep = None if fraction is None else restrict_highly_noisy(cd, fraction, seed)
+                log = [] if batch_log else None
+                _, metrics = train(
+                    run_tag, fs_train, fs_test, cd, schedule, seed, arch=arch,
+                    hidden_dim=hidden_dim, topk=topk, batch_log=log, include_mask=keep,
+                )
+                yield metrics, log
 
 
 def summarize(results: list[RunMetrics]) -> dict[str, dict[str, float]]:

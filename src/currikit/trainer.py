@@ -304,7 +304,7 @@ def train(
     records the mean weighted loss over the current stage's sample pool and
     the test errors; the final point's ranking of the test set also gives
     the per-category accuracies. If `batch_log` is a list, a (iteration, stage,
-    level_counts, weights) tuple is appended per batch. `include_mask`
+    level_counts, stage loss weights per level) tuple is appended per batch. `include_mask`
     removes samples from the sampling pools without changing the dataset
     (and therefore without changing input standardization).
     """
@@ -352,7 +352,7 @@ def train(
             if batch_log is not None:
                 batch_log.append(
                     (iteration, stage.stage_index, batch.level_counts(n_levels),
-                     tuple(float(w) for w in batch.weights))
+                     stage.loss_weights)
                 )
             loss, grads = model.loss_and_grads(
                 train_z[batch.indices], train_y[batch.indices], batch.weights

@@ -31,7 +31,7 @@ from currikit.data import (
     save_features,
 )
 from currikit.density import cutoff_dc, delta_and_center, distance_matrix, local_density
-from currikit.experiments import noisy_fraction_sweep, run_ablation
+from currikit.experiments import run_grid
 from currikit.schedule import CurriculumSampler, StageSpec
 from currikit.trainer import holdout_split, weighted_ce_loss
 from cli_support import run_cli
@@ -114,8 +114,8 @@ def test_criterion_2_subset_noise_rate_ordering():
 def test_criterion_3_ablation_ordering(planted):
     start = time.time()
     _, _, fs_train, fs_test = planted
-    results = run_ablation(["ModelA", "ModelC", "ModelD"], SEEDS, fs_train, fs_test,
-                           CurriculumParams(seed=0))
+    results = [m for m, _ in run_grid(["ModelA", "ModelC", "ModelD"], SEEDS, fs_train,
+                                      fs_test, CurriculumParams(seed=0))]
     final = {}
     for m in results:
         final.setdefault(m.strategy, {})[m.seed] = m.final_top1
@@ -136,8 +136,10 @@ def test_criterion_4_highly_noisy_fraction_sweep(planted):
     start = time.time()
     _, _, fs_train, fs_test = planted
     fractions = [0.0, 0.25, 0.5, 0.75]
-    results = noisy_fraction_sweep(fractions, SEEDS, fs_train, fs_test,
-                                   CurriculumParams(seed=0))
+    runs = run_grid(["ModelD"], SEEDS, fs_train, fs_test, CurriculumParams(seed=0),
+                    fractions=fractions)
+    results = [(f, m) for f, (m, _) in zip([f for f in fractions for _ in SEEDS], runs,
+                                           strict=True)]
     means = {f: np.mean([m.final_top1 for fr, m in results if fr == f])
              for f in fractions}
     elapsed = time.time() - start

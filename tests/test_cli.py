@@ -9,6 +9,7 @@ import pytest
 import currikit
 from currikit import density
 from currikit.cli import main
+from currikit.schedule import default_schedule
 from cli_support import cli_env, run_cli
 
 
@@ -110,7 +111,26 @@ class TestTrain:
         assert r.returncode == 0, r.stderr
         lines = (workspace / "batches_ModelB_s0.csv").read_text().splitlines()
         assert lines[0] == "iteration,level_counts,weights"
-        assert lines[1].startswith("0,16;0;0,")
+        assert lines[1] == "0,16;0;0,1.0;0.5;0.5"
+
+    def test_sweep_batch_log(self, workspace):
+        r = run_cli(TRAIN + ["--noisy-fraction", "0,100", "--batch-log", "--out-dir", "."],
+                    cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        assert not list(workspace.glob("run_*.json"))
+        stage2 = sum(s.iterations for s in default_schedule(16, 0.0005)[:2])
+
+        def level2_picks(name):
+            """(in stage 2, level-2 count) per logged batch."""
+            rows = [row.split(",") for row in (workspace / name).read_text().splitlines()[1:]]
+            return [(int(it) >= stage2, int(counts.split(";")[2])) for it, counts, _ in rows]
+
+        none_kept = level2_picks("batches_ModelD_hn0_s0.csv")
+        all_kept = level2_picks("batches_ModelD_hn1_s0.csv")
+        assert len(none_kept) == len(all_kept) > stage2
+        assert not any(count for _, count in none_kept)
+        assert not any(count for in_stage2, count in all_kept if not in_stage2)
+        assert any(count for in_stage2, count in all_kept if in_stage2)
 
     def test_misaligned_truth_exit_1(self, workspace):
         truth = workspace / "truth.csv"
@@ -212,6 +232,36 @@ class TestMalformedInputs:
                      "--curriculum-run", "bad_run.json", "--out-dir", "."], cwd=workspace)
         assert r.returncode == 1, r.stderr
         assert "currikit: error:" in r.stderr and "bad_run.json" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_reference_row_missing_label_exit_1(self, workspace):
+        r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        first_id = (workspace / "truth.csv").read_text().splitlines()[1].split(",")[0]
+        (workspace / "ref.csv").write_text(f"id,predicted_label\n{first_id},1\ns9\n")
+        r = run_cli(["analyze", "--curriculum", "curriculum.json",
+                     "--reference", "ref.csv", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error: row 1 has 1 cells, expected 2" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_non_integer_label_exit_1(self, workspace, command):
+        lines = (workspace / "truth.csv").read_text().splitlines(keepends=True)
+        sid, _, kind = lines[3].split(",")
+        lines[3] = f"{sid},zz,{kind}"  # data row 2
+        (workspace / "truth.csv").write_text("".join(lines))
+        if command == "train":
+            args = TRAIN + ["--strategies", "A", "--out-dir", "."]
+        else:
+            r = run_cli(["design", "--features", "features.bin", "--out-dir", "."],
+                        cwd=workspace)
+            assert r.returncode == 0, r.stderr
+            args = ["analyze", "--curriculum", "curriculum.json",
+                    "--reference", "truth.csv", "--out-dir", "."]
+        r = run_cli(args, cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error: truth.csv: row 2: label 'zz' is not an integer" in r.stderr
         assert "Traceback" not in r.stderr
 
 

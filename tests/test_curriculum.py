@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currikit.analysis import subset_noise_rates
 from currikit.curriculum import (
@@ -71,6 +72,20 @@ class TestPartitionCategory:
             levels = partition_category(values, 3)
             _, best = optimal_kmeans_1d(values, 3)
             assert wcss_of(values, levels) >= best - 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 1e6)),
+                    min_size=1, max_size=40),
+           st.integers(1, 5))
+    def test_levels_ordered_by_ascending_centroid(self, values, n_subsets):
+        values = np.array(values)
+        levels = partition_category(values, n_subsets)
+        used = np.unique(levels)
+        means = [values[levels == lv].mean() for lv in used]
+        assert all(a < b for a, b in zip(means, means[1:]))
+        # Each level is an interval of values: a larger value never gets a lower level.
+        for lo, hi in zip(used, used[1:]):
+            assert values[levels == lo].max() < values[levels == hi].min()
 
     def test_rejects_bad_input(self):
         with pytest.raises(CurriculumError):

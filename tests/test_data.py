@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currikit.data import (
+    FORMATS,
     DatasetError,
     FeatureSet,
     SynthConfig,
@@ -155,6 +160,52 @@ class TestBinaryFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+# Text a UTF-8 file can hold. The CSV writers reject ids holding any of
+# CSV_UNSAFE, so ids draw those characters often.
+FILE_TEXT = st.characters(blacklist_categories=("Cs",))
+CSV_UNSAFE = ',"\r\n'
+ID_TEXT = st.one_of(FILE_TEXT, st.sampled_from(CSV_UNSAFE))
+
+
+@st.composite
+def feature_sets(draw):
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=n * d, max_size=n * d))
+    ids = draw(st.lists(st.text(ID_TEXT, max_size=6), min_size=n, max_size=n, unique=True))
+    return FeatureSet(
+        features=np.array(values, dtype=np.float32).reshape(n, d),
+        labels=np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))),
+        sample_ids=tuple(ids),
+        category_names=tuple(draw(st.lists(st.text(FILE_TEXT, max_size=6),
+                                           min_size=c, max_size=c))),
+    )
+
+
+def csv_unsafe(ids) -> bool:
+    return any(ch in sid for sid in ids for ch in CSV_UNSAFE)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=80, deadline=None)
+@given(fs=feature_sets())
+def test_feature_file_round_trip_byte_exact(fmt, fs):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        if fmt == "csv" and csv_unsafe(fs.sample_ids):
+            with pytest.raises(DatasetError, match="do not quote"):
+                save_features(fs, first, fmt)
+            return
+        save_features(fs, first, fmt)
+        # The csv format does not carry category names.
+        loaded = load_features(first, fmt, category_names=fs.category_names)
+        assert loaded == fs
+        save_features(loaded, second, fmt)
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestCsvFormat:
     def test_round_trip_default_names(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -201,6 +252,34 @@ class TestTruthIO:
         ids, loaded = load_truth(path)
         assert ids == fs.sample_ids
         assert loaded == truth
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.text(ID_TEXT, max_size=8),
+            st.integers(NO_CATEGORY, 2**40),
+            st.sampled_from((NOISE_CLEAN, NOISE_CROSS, NOISE_UNIFORM)),
+        ),
+        min_size=1, max_size=12, unique_by=lambda row: row[0],
+    ))
+    def test_round_trip_byte_exact(self, rows):
+        ids, labels, kinds = zip(*rows)
+        fs = FeatureSet(features=np.zeros((len(rows), 1), dtype=np.float32),
+                        labels=np.zeros(len(rows), dtype=np.int64), sample_ids=ids,
+                        category_names=("only",))
+        truth = SyntheticTruth(true_labels=np.array(labels), noise_kind=kinds)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+            if csv_unsafe(ids):
+                with pytest.raises(DatasetError, match="do not quote"):
+                    save_truth(fs, truth, first)
+                return
+            save_truth(fs, truth, first)
+            loaded_ids, loaded = load_truth(first)
+            assert loaded_ids == ids
+            assert loaded == truth
+            save_truth(fs, loaded, second)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_reference_loader_accepts_predictions(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -8,8 +8,8 @@ from currikit.experiments import (
     STRATEGY_TAGS,
     CurriculumCache,
     build_strategy,
-    noisy_fraction_sweep,
     restrict_highly_noisy,
+    run_grid,
     summarize,
 )
 from currikit.trainer import holdout_split, train
@@ -52,7 +52,7 @@ def test_strategy_schedule_pinned(tag):
     cache = CurriculumCache(fs, CurriculumParams(seed=0))
     cd, schedule = build_strategy(tag, cache, 64, 0.001)
     method, stages = PINNED_STRATEGIES[tag]
-    assert cd is cache.get(method, 3)
+    assert cd is cache.get(method)
     assert [(s.stage_index, s.batch_composition, s.loss_weights, s.iterations, s.lr_plan)
             for s in schedule] == stages
     assert all(s.batch_size == 64 for s in schedule)
@@ -88,8 +88,8 @@ class TestNoisyFractionSweep:
         cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
         model_c = build_strategy("ModelC", cache, 64, 0.001)
         _, mc = train("ModelC", fs_train, fs_test, *model_c, 4)
-        [(_, m0)] = noisy_fraction_sweep([0.0], [4], fs_train, fs_test,
-                                         CurriculumParams(seed=0))
+        [(m0, _)] = run_grid(["ModelD"], [4], fs_train, fs_test,
+                             CurriculumParams(seed=0), fractions=[0.0])
         assert [(p.iteration, p.train_loss, p.test_top1, p.test_topk) for p in m0.points] \
             == [(p.iteration, p.train_loss, p.test_top1, p.test_topk) for p in mc.points]
         assert (m0.final_top1, m0.final_topk) == (mc.final_top1, mc.final_topk)
@@ -99,15 +99,17 @@ class TestNoisyFractionSweep:
         cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
         model_d = build_strategy("ModelD", cache, 64, 0.001)
         _, md = train("ModelD", fs_train, fs_test, *model_d, 4)
-        [(_, m1)] = noisy_fraction_sweep([1.0], [4], fs_train, fs_test,
-                                         CurriculumParams(seed=0))
+        [(m1, _)] = run_grid(["ModelD"], [4], fs_train, fs_test,
+                             CurriculumParams(seed=0), fractions=[1.0])
         assert m1.to_dict()["points"] == md.to_dict()["points"]
 
     def test_deterministic_per_fraction_and_seed(self, split):
         fs_train, _, fs_test = split
-        a = noisy_fraction_sweep([0.5], [7], fs_train, fs_test, CurriculumParams(seed=0))
-        b = noisy_fraction_sweep([0.5], [7], fs_train, fs_test, CurriculumParams(seed=0))
-        assert a[0][1].to_dict() == b[0][1].to_dict()
+        a = list(run_grid(["ModelD"], [7], fs_train, fs_test, CurriculumParams(seed=0),
+                          fractions=[0.5]))
+        b = list(run_grid(["ModelD"], [7], fs_train, fs_test, CurriculumParams(seed=0),
+                          fractions=[0.5]))
+        assert a[0][0].to_dict() == b[0][0].to_dict()
 
     def test_restrict_mask_counts(self, split):
         fs_train, _, _ = split
@@ -166,7 +168,7 @@ class TestRateIntervalExperiment:
                             *build_strategy("ModelA", cache, 64, 0.001), seed)
             _, curr = train("ModelD", fs_train, fs_test,
                             *build_strategy("ModelD", cache, 64, 0.001), seed)
-            cd = cache.get("density", 3)
+            cd = cache.get("density")
             correct = category_correct_rates(cd, reference_from_truth(fs_train, train_truth))
             audit = rate_interval_report(correct, base, curr)
             occupied = [b for b in range(10) if audit.histogram[b]

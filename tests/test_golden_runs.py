@@ -18,7 +18,7 @@ import pytest
 
 from currikit.curriculum import CurriculumParams
 from currikit.data import SynthConfig, generate_synthetic
-from currikit.experiments import CurriculumCache, build_strategy, noisy_fraction_sweep
+from currikit.experiments import CurriculumCache, build_strategy, run_grid
 from currikit.trainer import holdout_split, train
 
 pytestmark = pytest.mark.skipif(
@@ -54,10 +54,11 @@ def test_mlp_noisy_fraction_sweep_runs(split):
     # Fraction 0 empties the highly-noisy pool (its picks move to level 1);
     # fraction 0.5 masks half of it out.
     fs_train, fs_test = split
-    runs = noisy_fraction_sweep(
-        [0.0, 0.5], [2], fs_train, fs_test, CurriculumParams(seed=7),
+    fractions = [0.0, 0.5]
+    runs = run_grid(
+        ["ModelD"], [2], fs_train, fs_test, CurriculumParams(seed=7), fractions=fractions,
         batch_size=32, scale=0.0003, arch="mlp", hidden_dim=16, topk=3)
-    assert [(f, _digest(m)) for f, m in runs] == [
+    assert [(f, _digest(m)) for f, (m, _) in zip(fractions, runs, strict=True)] == [
         (0.0, "98ebb83dd1fd0f513cd51142fdf69f52c04d662ea4ed2abe98ea368538407a79"),
         (0.5, "8c531edc7f89623b892584542030d6a3363fbbbf35e677b8e45d21683c174c7f"),
     ]

@@ -1,13 +1,19 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from currikit.cli import _json_text, _load_run
 from currikit.curriculum import CurriculumParams, design_curriculum
 from currikit.data import NOISE_CLEAN, SynthConfig, generate_synthetic
+from currikit.fileio import atomic_write_text
 from currikit.schedule import StageSpec, default_schedule, plain_schedule
 from currikit.trainer import (
     ClassifierModel,
+    EvalPoint,
     RunMetrics,
     TrainingDiverged,
     evaluate,
@@ -183,7 +189,7 @@ class TestTrain:
         assert log, "batch log should not be empty"
         for _, _, counts, weights in log:
             assert counts[1] == counts[2] == 0
-            assert all(w == 1.0 for w in weights)
+            assert all(weights[lv] == 1.0 for lv, c in enumerate(counts) if c)
 
     def test_zero_iterations(self):
         tr, _, te = planted_split()
@@ -242,6 +248,28 @@ class TestTrain:
         _, m = train("ModelD", tr, te, cd, default_schedule(16, 0.0002), 1)
         again = RunMetrics.from_dict(m.to_dict())
         assert again.to_dict() == m.to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.text(max_size=12),
+        st.integers(0, 2**63 - 1),
+        st.integers(1, 1000),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.floats(),
+                           st.floats(), st.floats()), max_size=5),
+        st.floats(), st.floats(),
+        st.lists(st.one_of(st.just(math.nan), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        st.lists(st.one_of(st.just(math.nan), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+    )
+    def test_run_json_round_trip_byte_exact(self, tag, seed, topk, points, final_top1,
+                                            final_topk, per_top1, per_topk):
+        # The bytes `train` writes to run_*.json, read back as `analyze` does.
+        m = RunMetrics(tag, seed, topk, [EvalPoint(*p) for p in points], final_top1,
+                       final_topk, np.array(per_top1), np.array(per_topk))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "run.json")
+            atomic_write_text(path, _json_text(m.to_dict()))
+            again = _load_run(str(path))
+            assert _json_text(again.to_dict()).encode() == path.read_bytes()
 
     def test_per_category_accuracy_shapes(self):
         tr, _, te = planted_split()
