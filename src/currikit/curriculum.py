@@ -348,13 +348,21 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _fmt_exact(x: float) -> str:
+    """x at 9 significant digits where that text reads back as x, else the
+    shortest text that does."""
+    text = _fmt_float(x)
+    return text if float(text) == x else repr(float(x))
+
+
 def curriculum_to_json(cd: CurriculumDesign) -> str:
-    """Canonical JSON text: fixed field order, floats at 9 significant digits."""
+    """Canonical JSON text: fixed field order, floats at 9 significant
+    digits; ``k_percent`` is written so that it reads back exactly."""
     p = cd.params
     out = [
         '{"version": %d, "params": {"k_percent": %s, "n_subsets": %d, '
         '"kmeans_max_iters": %d, "seed": %d}, "categories": ['
-        % (CURRICULUM_VERSION, _fmt_float(p.k_percent), p.n_subsets, p.kmeans_max_iters, p.seed)
+        % (CURRICULUM_VERSION, _fmt_exact(p.k_percent), p.n_subsets, p.kmeans_max_iters, p.seed)
     ]
     for c in range(cd.n_categories):
         if c:

@@ -21,9 +21,14 @@ masked out.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -104,6 +109,7 @@ def run_grid(
     hidden_dim: int = 32,
     topk: int = 5,
     batch_log: bool = False,
+    jobs: int | None = None,
 ) -> Iterator[tuple[RunMetrics, list | None]]:
     """Train every strategy x seed, or with `fractions` every strategy x
     fraction x seed, and yield each run's (metrics, batch log or None) in
@@ -116,22 +122,121 @@ def run_grid(
     so runs differ only in the data the sampler may draw. For ModelD,
     fraction 1 is identical to ModelD itself, and at fraction 0 no
     highly-noisy sample is ever used, so the batch mix reduces to ModelC's
-    clean+noisy subsets."""
-    if fractions is not None and any(f < 0 or f > 1 for f in fractions):
-        raise ValueError("fractions must lie in [0, 1]")
-    curricula = CurriculumCache(fs_train, params)
-    for tag in tags:
-        cd, schedule = build_strategy(tag, curricula, batch_size, scale)
-        for fraction in [None] if fractions is None else fractions:
-            run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
-            for seed in seeds:
-                keep = None if fraction is None else restrict_highly_noisy(cd, fraction, seed)
-                log = [] if batch_log else None
-                _, metrics = train(
-                    run_tag, fs_train, fs_test, cd, schedule, seed, arch=arch,
-                    hidden_dim=hidden_dim, topk=topk, batch_log=log, include_mask=keep,
+    clean+noisy subsets.
+
+    The parent process designs the curricula and builds every run's
+    schedule and keep-mask; `jobs` forked worker processes (default: the
+    usable cores, never more than the runs) then train the runs, while
+    numpy's OpenBLAS runs one thread. A run's outputs do not depend on
+    `jobs`. Where the OpenBLAS thread-count call is not found, the runs
+    train one after another in this process."""
+    if fractions is not None:
+        if any(f < 0 or f > 1 for f in fractions):
+            raise ValueError("fractions must lie in [0, 1]")
+        first: dict[str, float] = {}
+        for f in fractions:
+            text = f"{f:g}"
+            if text in first:
+                raise ValueError(
+                    f"fractions {first[text]!r} and {f!r} share the run tag suffix "
+                    f"@hn={text}; each fraction needs its own tag"
                 )
-                yield metrics, log
+            first[text] = f
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    with _one_blas_thread() as capped:
+        curricula = CurriculumCache(fs_train, params)
+        strategies = {tag: build_strategy(tag, curricula, batch_size, scale) for tag in tags}
+        runs = []
+        for tag in tags:
+            cd, schedule = strategies[tag]
+            for fraction in [None] if fractions is None else fractions:
+                run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
+                for seed in seeds:
+                    keep = None if fraction is None else restrict_highly_noisy(cd, fraction, seed)
+                    runs.append(partial(
+                        _train_run, run_tag, fs_train, fs_test, cd, schedule, seed, keep,
+                        batch_log, arch=arch, hidden_dim=hidden_dim, topk=topk,
+                    ))
+        jobs = min(jobs or _usable_cores(), len(runs))
+        if jobs <= 1 or not capped or not hasattr(os, "fork"):
+            for run in runs:
+                yield run()
+            return
+        # Fork, not spawn: workers inherit the data and designs instead of
+        # importing and receiving them, and the parent's only other threads
+        # are OpenBLAS's, which OpenBLAS stops before a fork.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(
+            jobs, mp_context=get_context("fork"), initializer=_inherit_runs, initargs=(runs,)
+        ) as pool:
+            yield from pool.map(_run_one, range(len(runs)))
+
+
+def _train_run(tag, fs_train, fs_test, cd, schedule, seed, keep, batch_log, **options):
+    log = [] if batch_log else None
+    _, metrics = train(tag, fs_train, fs_test, cd, schedule, seed,
+                       batch_log=log, include_mask=keep, **options)
+    return metrics, log
+
+
+# The runs a forked worker inherited from run_grid; set in workers only.
+_worker_runs: list = []
+
+
+def _inherit_runs(runs: list) -> None:
+    global _worker_runs
+    _worker_runs = runs
+
+
+def _run_one(i: int) -> tuple[RunMetrics, list | None]:
+    """Train run `i` of the grid this worker inherited; only `i` is sent to
+    the worker and only the run's result is sent back."""
+    return _worker_runs[i]()
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of the OpenBLAS bundled with numpy,
+    or None where none is found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Cap numpy's OpenBLAS at one thread and restore the caller's count on
+    exit; yields whether the cap could be set. Forked workers inherit the
+    cap, so two workers on two cores do not start four BLAS threads."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield False
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
 
 
 def summarize(results: list[RunMetrics]) -> dict[str, dict[str, float]]:

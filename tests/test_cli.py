@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import currikit
-from currikit import density
+from currikit import density, experiments
 from currikit.cli import main
 from currikit.schedule import default_schedule
 from cli_support import cli_env, run_cli
@@ -65,6 +65,17 @@ class TestDesign:
         assert doc["params"]["n_subsets"] == 2
         levels = {s["level"] for cat in doc["categories"] for s in cat["samples"]}
         assert levels <= {0, 1}
+
+    def test_k_percent_reads_back(self, workspace):
+        # At 9 significant digits 99.9999999999 would be written as 100,
+        # which analyze rejects as outside (0, 100).
+        r = run_cli(["design", "--features", "features.bin", "--k-percent", "99.9999999999",
+                     "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        assert '"k_percent": 99.9999999999,' in (workspace / "curriculum.json").read_text()
+        r = run_cli(["analyze", "--curriculum", "curriculum.json", "--reference", "truth.csv",
+                     "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
 
     def test_kmeans_method(self, workspace):
         r = run_cli(["design", "--features", "features.bin", "--method", "kmeans",
@@ -153,6 +164,35 @@ class TestTrain:
         assert r.returncode == 1, r.stderr
         assert f"currikit: error: {message}" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("percents", ["12.3456,12.34564", "50,50"])
+    def test_fractions_sharing_a_run_tag_exit_1(self, workspace, percents):
+        r = run_cli(TRAIN + ["--noisy-fraction", percents, "--out-dir", "out"],
+                    cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error: fractions" in r.stderr
+        assert "each fraction needs its own tag" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workspace / "out").exists()
+
+    def test_zero_jobs_exit_1(self, workspace):
+        r = run_cli(TRAIN + ["--strategies", "A", "--jobs", "0", "--out-dir", "."],
+                    cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error: jobs must be at least 1" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_worker_error_exit_1(self, workspace, monkeypatch, capfd):
+        # capfd also captures what the forked workers write to stderr.
+        def failing_train(tag, *args, **kwargs):
+            raise ValueError(f"{tag} cannot train")
+
+        monkeypatch.setattr(experiments, "train", failing_train)
+        monkeypatch.chdir(workspace)
+        assert main(TRAIN + ["--strategies", "A,D", "--jobs", "2", "--out-dir", "."]) == 1
+        err = capfd.readouterr().err
+        assert "currikit: error: ModelA cannot train" in err
+        assert "Traceback" not in err
 
     def test_seed_ranges(self):
         from currikit.cli import _seed_list

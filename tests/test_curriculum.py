@@ -221,6 +221,18 @@ class TestSerialization:
         save_curriculum(load_curriculum(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(k_percent=st.one_of(
+        st.floats(0, 100, exclude_min=True, exclude_max=True),
+        st.floats(99.99999995, 100, exclude_max=True),
+    ))
+    def test_json_round_trip_any_k_percent(self, k_percent):
+        fs, _ = generate_synthetic(SynthConfig(3, 12, 4, 0.6, 0.25, 0.15, seed=6))
+        text = curriculum_to_json(design_curriculum(fs, CurriculumParams(k_percent=k_percent)))
+        back = curriculum_from_json(text)
+        assert back.params.k_percent == k_percent
+        assert curriculum_to_json(back) == text
+
     def test_version_mismatch(self):
         with pytest.raises(CurriculumError, match="version"):
             curriculum_from_json('{"version": 99, "params": {}, "categories": []}')

@@ -1,6 +1,10 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
+from currikit import experiments
 from currikit.analysis import category_correct_rates, rate_interval_report
 from currikit.curriculum import CurriculumParams
 from currikit.data import FeatureSet, SynthConfig, SyntheticTruth, generate_synthetic
@@ -122,6 +126,65 @@ class TestNoisyFractionSweep:
             kept_hn = int((keep & (cd.levels == 2)).sum())
             assert kept_hn == int(np.floor(fraction * hn + 0.5))
             assert keep[cd.levels < 2].all()
+
+
+needs_blas_cap = pytest.mark.skipif(
+    experiments._openblas_threads() is None,
+    reason="no OpenBLAS thread-count call found, so runs train serially",
+)
+
+
+def _grid(split, jobs, seeds=(0, 1)):
+    fs_train, _, fs_test = split
+    return list(run_grid(["ModelB"], list(seeds), fs_train, fs_test, CurriculumParams(seed=0),
+                         scale=0.0002, jobs=jobs))
+
+
+class TestWorkers:
+    @needs_blas_cap
+    def test_worker_error_reraised_in_parent(self, split, monkeypatch):
+        def failing_train(tag, *args, **kwargs):
+            raise ValueError(f"{tag} failed in process {os.getpid()}")
+
+        monkeypatch.setattr(experiments, "train", failing_train)
+        with pytest.raises(ValueError, match=r"ModelB failed in process \d+") as info:
+            _grid(split, jobs=2)
+        worker = int(re.search(r"process (\d+)", str(info.value)).group(1))
+        assert worker != os.getpid()
+
+    @needs_blas_cap
+    def test_worker_death_is_a_runtime_error(self, split, monkeypatch):
+        parent = os.getpid()
+
+        def dying_train(*args, **kwargs):
+            assert os.getpid() != parent, "trained in the parent process"
+            os._exit(3)
+
+        monkeypatch.setattr(experiments, "train", dying_train)
+        with pytest.raises(RuntimeError):
+            _grid(split, jobs=2)
+
+    @needs_blas_cap
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_blas_thread_while_training_then_restored(self, split, monkeypatch, jobs):
+        get, set_ = experiments._openblas_threads()
+        monkeypatch.setattr(experiments, "train",
+                            lambda *args, **kwargs: (None, (os.getpid(), get())))
+        before = get()
+        set_(2)
+        try:
+            runs = [m for m, _ in _grid(split, jobs, seeds=range(4))]
+            after = get()
+        finally:
+            set_(before)
+        assert [threads for _, threads in runs] == [1] * 4
+        assert ({pid for pid, _ in runs} == {os.getpid()}) == (jobs == 1)
+        assert after == 2
+
+    def test_jobs_do_not_change_results(self, split):
+        one = [m.to_dict() for m, _ in _grid(split, jobs=1, seeds=(0, 1, 2))]
+        two = [m.to_dict() for m, _ in _grid(split, jobs=2, seeds=(0, 1, 2))]
+        assert one == two
 
 
 def merged_noise_dataset(seed):

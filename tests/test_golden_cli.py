@@ -6,7 +6,8 @@ wrote, and of its stdout, with recorded digests. Any drift in the run loop,
 the file names, the CSV and JSON writers or the summary tables shows here,
 not only in the benchmark's digests. The digests were recorded with numpy
 2.4.6 and OpenBLAS 0.3.31 on x86_64; another numeric build may round
-differently, so the comparison runs only there.
+differently, so the comparison runs only there. Each mode runs with one
+and with two worker processes against the same digests.
 """
 
 import hashlib
@@ -27,6 +28,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+JOBS = pytest.mark.parametrize("jobs", ["1", "2"])
+
+
 def _train_digests(tmp_path, monkeypatch, capsys, synth, train):
     """sha256 of each file `train` writes under out/, and of its stdout."""
     monkeypatch.chdir(tmp_path)
@@ -37,26 +41,28 @@ def _train_digests(tmp_path, monkeypatch, capsys, synth, train):
     return files, _sha(capsys.readouterr().out.encode())
 
 
-def test_all_strategies_with_batch_log(tmp_path, monkeypatch, capsys):
+@JOBS
+def test_all_strategies_with_batch_log(tmp_path, monkeypatch, capsys, jobs):
     files, stdout = _train_digests(
         tmp_path, monkeypatch, capsys,
         ["--categories", "5", "--per-category", "40", "--dim", "8", "--seed", "3"],
         ["--features", "features.bin", "--strategies", "A,B,C,D,D_kmeans",
          "--seeds", "0,1", "--batch-log", "--scale", "0.0003", "--batch-size", "32",
-         "--topk", "3"],
+         "--topk", "3", "--jobs", jobs],
     )
     assert files == ALL_STRATEGIES_FILES
     assert stdout == ALL_STRATEGIES_STDOUT
 
 
-def test_mlp_noisy_fraction_sweep(tmp_path, monkeypatch, capsys):
+@JOBS
+def test_mlp_noisy_fraction_sweep(tmp_path, monkeypatch, capsys, jobs):
     files, stdout = _train_digests(
         tmp_path, monkeypatch, capsys,
         ["--categories", "6", "--per-category", "30", "--dim", "10", "--seed", "4",
          "--format", "csv"],
         ["--features", "features.csv", "--noisy-fraction", "0,50,100", "--seeds", "1..2",
          "--arch", "mlp", "--hidden-dim", "16", "--batch-size", "32", "--scale", "0.0003",
-         "--topk", "3"],
+         "--topk", "3", "--jobs", jobs],
     )
     assert files == SWEEP_FILES
     assert stdout == SWEEP_STDOUT
