@@ -240,7 +240,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         tags, seeds, fs_train, fs_test, params, fractions=fractions,
         batch_size=int(args.batch_size), scale=float(args.scale), arch=args.arch,
         hidden_dim=int(args.hidden_dim), topk=int(args.topk), batch_log=args.batch_log,
-        jobs=args.jobs,
     ):
         runs.append(metrics)
         name = f"{_run_file_tag(metrics.strategy)}_s{metrics.seed}"
@@ -412,9 +411,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--kmeans-max-iters", type=int, default=100)
     p.add_argument("--batch-log", action="store_true",
                    help="also write per-iteration batch composition CSVs")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes training the runs, each with one BLAS "
-                        "thread (default: the usable cores, at most one per run)")
     p.set_defaults(func=_cmd_train)
 
     p = subparsers["analyze"] = sub.add_parser("analyze", help="audit a curriculum against reference labels")

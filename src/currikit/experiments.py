@@ -109,7 +109,6 @@ def run_grid(
     hidden_dim: int = 32,
     topk: int = 5,
     batch_log: bool = False,
-    jobs: int | None = None,
 ) -> Iterator[tuple[RunMetrics, list | None]]:
     """Train every strategy x seed, or with `fractions` every strategy x
     fraction x seed, and yield each run's (metrics, batch log or None) in
@@ -125,10 +124,10 @@ def run_grid(
     clean+noisy subsets.
 
     The parent process designs the curricula and builds every run's
-    schedule and keep-mask; `jobs` forked worker processes (default: the
-    usable cores, never more than the runs) then train the runs, while
-    numpy's OpenBLAS runs one thread. A run's outputs do not depend on
-    `jobs`. Where the OpenBLAS thread-count call is not found, the runs
+    schedule and keep-mask; forked worker processes, one per usable core
+    and never more than the runs, then train the runs, while numpy's
+    OpenBLAS runs one thread. A run's outputs do not depend on the number
+    of workers. Where the OpenBLAS thread-count call is not found, the runs
     train one after another in this process."""
     if fractions is not None:
         if any(f < 0 or f > 1 for f in fractions):
@@ -142,8 +141,6 @@ def run_grid(
                     f"@hn={text}; each fraction needs its own tag"
                 )
             first[text] = f
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be at least 1")
     with _one_blas_thread() as capped:
         curricula = CurriculumCache(fs_train, params)
         strategies = {tag: build_strategy(tag, curricula, batch_size, scale) for tag in tags}
@@ -158,19 +155,22 @@ def run_grid(
                         _train_run, run_tag, fs_train, fs_test, cd, schedule, seed, keep,
                         batch_log, arch=arch, hidden_dim=hidden_dim, topk=topk,
                     ))
-        jobs = min(jobs or _usable_cores(), len(runs))
-        if jobs <= 1 or not capped or not hasattr(os, "fork"):
+        workers = min(_usable_cores(), len(runs))
+        if workers <= 1 or not capped or not hasattr(os, "fork"):
             for run in runs:
                 yield run()
             return
         # Fork, not spawn: workers inherit the data and designs instead of
-        # importing and receiving them, and the parent's only other threads
-        # are OpenBLAS's, which OpenBLAS stops before a fork.
+        # importing and receiving them. The parent's only other threads are
+        # OpenBLAS's, which OpenBLAS's own fork handler joins before a fork,
+        # and the executor forks every worker before it starts its manager
+        # thread, so the parent holds one OS thread when it forks (Python
+        # 3.12+ warns otherwise). Checked on CPython 3.11 only.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
         with ProcessPoolExecutor(
-            jobs, mp_context=get_context("fork"), initializer=_inherit_runs, initargs=(runs,)
+            workers, mp_context=get_context("fork"), initializer=_inherit_runs, initargs=(runs,)
         ) as pool:
             yield from pool.map(_run_one, range(len(runs)))
 

@@ -175,21 +175,15 @@ class TestTrain:
         assert "Traceback" not in r.stderr
         assert not (workspace / "out").exists()
 
-    def test_zero_jobs_exit_1(self, workspace):
-        r = run_cli(TRAIN + ["--strategies", "A", "--jobs", "0", "--out-dir", "."],
-                    cwd=workspace)
-        assert r.returncode == 1, r.stderr
-        assert "currikit: error: jobs must be at least 1" in r.stderr
-        assert "Traceback" not in r.stderr
-
     def test_worker_error_exit_1(self, workspace, monkeypatch, capfd):
         # capfd also captures what the forked workers write to stderr.
         def failing_train(tag, *args, **kwargs):
             raise ValueError(f"{tag} cannot train")
 
         monkeypatch.setattr(experiments, "train", failing_train)
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
         monkeypatch.chdir(workspace)
-        assert main(TRAIN + ["--strategies", "A,D", "--jobs", "2", "--out-dir", "."]) == 1
+        assert main(TRAIN + ["--strategies", "A,D", "--out-dir", "."]) == 1
         err = capfd.readouterr().err
         assert "currikit: error: ModelA cannot train" in err
         assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -134,10 +135,23 @@ needs_blas_cap = pytest.mark.skipif(
 )
 
 
-def _grid(split, jobs, seeds=(0, 1)):
+def _os_threads() -> int:
+    with open("/proc/self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[17])
+
+
+# OS threads of this process right after each fork, in the parent.
+_AFTER_FORK_THREADS: list[int] = []
+if os.path.exists("/proc/self/stat"):
+    os.register_at_fork(after_in_parent=lambda: _AFTER_FORK_THREADS.append(_os_threads()))
+
+
+def _grid(split, monkeypatch, cores, seeds=(0, 1)):
+    """Train ModelB over `seeds` as if the machine had `cores` usable cores."""
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
     fs_train, _, fs_test = split
     return list(run_grid(["ModelB"], list(seeds), fs_train, fs_test, CurriculumParams(seed=0),
-                         scale=0.0002, jobs=jobs))
+                         scale=0.0002))
 
 
 class TestWorkers:
@@ -148,7 +162,7 @@ class TestWorkers:
 
         monkeypatch.setattr(experiments, "train", failing_train)
         with pytest.raises(ValueError, match=r"ModelB failed in process \d+") as info:
-            _grid(split, jobs=2)
+            _grid(split, monkeypatch, cores=2)
         worker = int(re.search(r"process (\d+)", str(info.value)).group(1))
         assert worker != os.getpid()
 
@@ -162,28 +176,50 @@ class TestWorkers:
 
         monkeypatch.setattr(experiments, "train", dying_train)
         with pytest.raises(RuntimeError):
-            _grid(split, jobs=2)
+            _grid(split, monkeypatch, cores=2)
 
     @needs_blas_cap
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_blas_thread_while_training_then_restored(self, split, monkeypatch, jobs):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_blas_thread_while_training_then_restored(self, split, monkeypatch, cores):
         get, set_ = experiments._openblas_threads()
         monkeypatch.setattr(experiments, "train",
                             lambda *args, **kwargs: (None, (os.getpid(), get())))
         before = get()
         set_(2)
         try:
-            runs = [m for m, _ in _grid(split, jobs, seeds=range(4))]
+            runs = [m for m, _ in _grid(split, monkeypatch, cores, seeds=range(4))]
             after = get()
         finally:
             set_(before)
         assert [threads for _, threads in runs] == [1] * 4
-        assert ({pid for pid, _ in runs} == {os.getpid()}) == (jobs == 1)
+        assert ({pid for pid, _ in runs} == {os.getpid()}) == (cores == 1)
         assert after == 2
 
-    def test_jobs_do_not_change_results(self, split):
-        one = [m.to_dict() for m, _ in _grid(split, jobs=1, seeds=(0, 1, 2))]
-        two = [m.to_dict() for m, _ in _grid(split, jobs=2, seeds=(0, 1, 2))]
+    @needs_blas_cap
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc/self/stat")
+    def test_one_os_thread_after_each_fork(self, split, monkeypatch):
+        # Python 3.12+ warns when a process that holds several OS threads
+        # forks; it counts them in the parent right after the fork. A
+        # two-thread product first starts OpenBLAS's thread pool, which
+        # OpenBLAS must join before each fork.
+        get, set_ = experiments._openblas_threads()
+        before = get()
+        set_(2)
+        _AFTER_FORK_THREADS.clear()
+        try:
+            a = np.ones((256, 256))
+            a @ a
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _grid(split, monkeypatch, cores=2)
+        finally:
+            set_(before)
+        assert _AFTER_FORK_THREADS == [1, 1]
+        assert [str(w.message) for w in caught] == []
+
+    def test_worker_count_does_not_change_results(self, split, monkeypatch):
+        one = [m.to_dict() for m, _ in _grid(split, monkeypatch, cores=1, seeds=(0, 1, 2))]
+        two = [m.to_dict() for m, _ in _grid(split, monkeypatch, cores=2, seeds=(0, 1, 2))]
         assert one == two
 
 

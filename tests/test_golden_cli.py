@@ -6,8 +6,9 @@ wrote, and of its stdout, with recorded digests. Any drift in the run loop,
 the file names, the CSV and JSON writers or the summary tables shows here,
 not only in the benchmark's digests. The digests were recorded with numpy
 2.4.6 and OpenBLAS 0.3.31 on x86_64; another numeric build may round
-differently, so the comparison runs only there. Each mode runs with one
-and with two worker processes against the same digests.
+differently, so the comparison runs only there. Each mode runs as if on one
+and on two usable cores, so serially and with two worker processes, against
+the same digests.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import platform
 import numpy as np
 import pytest
 
+from currikit import experiments
 from currikit.cli import main
 
 pytestmark = pytest.mark.skipif(
@@ -28,11 +30,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-JOBS = pytest.mark.parametrize("jobs", ["1", "2"])
+CORES = pytest.mark.parametrize("cores", [1, 2])
 
 
-def _train_digests(tmp_path, monkeypatch, capsys, synth, train):
-    """sha256 of each file `train` writes under out/, and of its stdout."""
+def _train_digests(tmp_path, monkeypatch, capsys, cores, synth, train):
+    """sha256 of each file `train` writes under out/, and of its stdout,
+    with `cores` usable cores."""
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--out-dir", ".", *synth]) == 0
     capsys.readouterr()
@@ -41,28 +45,28 @@ def _train_digests(tmp_path, monkeypatch, capsys, synth, train):
     return files, _sha(capsys.readouterr().out.encode())
 
 
-@JOBS
-def test_all_strategies_with_batch_log(tmp_path, monkeypatch, capsys, jobs):
+@CORES
+def test_all_strategies_with_batch_log(tmp_path, monkeypatch, capsys, cores):
     files, stdout = _train_digests(
-        tmp_path, monkeypatch, capsys,
+        tmp_path, monkeypatch, capsys, cores,
         ["--categories", "5", "--per-category", "40", "--dim", "8", "--seed", "3"],
         ["--features", "features.bin", "--strategies", "A,B,C,D,D_kmeans",
          "--seeds", "0,1", "--batch-log", "--scale", "0.0003", "--batch-size", "32",
-         "--topk", "3", "--jobs", jobs],
+         "--topk", "3"],
     )
     assert files == ALL_STRATEGIES_FILES
     assert stdout == ALL_STRATEGIES_STDOUT
 
 
-@JOBS
-def test_mlp_noisy_fraction_sweep(tmp_path, monkeypatch, capsys, jobs):
+@CORES
+def test_mlp_noisy_fraction_sweep(tmp_path, monkeypatch, capsys, cores):
     files, stdout = _train_digests(
-        tmp_path, monkeypatch, capsys,
+        tmp_path, monkeypatch, capsys, cores,
         ["--categories", "6", "--per-category", "30", "--dim", "10", "--seed", "4",
          "--format", "csv"],
         ["--features", "features.csv", "--noisy-fraction", "0,50,100", "--seeds", "1..2",
          "--arch", "mlp", "--hidden-dim", "16", "--batch-size", "32", "--scale", "0.0003",
-         "--topk", "3", "--jobs", jobs],
+         "--topk", "3"],
     )
     assert files == SWEEP_FILES
     assert stdout == SWEEP_STDOUT
