@@ -21,6 +21,7 @@ import csv
 import io
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -278,6 +279,13 @@ def _features_from_binary(data: bytes) -> FeatureSet:
     if n < 1 or d < 1 or c < 1:
         raise DatasetError(f"invalid header counts N={n} d={d} C={c}")
     names = tuple(cur.string(f"category name {i}") for i in range(c))
+    # Each record holds at least an id length, a label and d floats.
+    needed = n * (8 + 4 * d)
+    if needed > len(data) - cur.pos:
+        raise DatasetError(
+            f"truncated file: N={n} records at d={d} need at least {needed} bytes, "
+            f"{len(data) - cur.pos} remain"
+        )
     ids = []
     labels = np.empty(n, dtype=np.int64)
     features = np.empty((n, d), dtype=np.float32)
@@ -307,23 +315,38 @@ def _csv_id(sid: str) -> str:
     return sid
 
 
+#: Feature values the csv writer converts to text in one numpy call, in
+#: whole rows (at least one). Each value takes 128 bytes while converted.
+CSV_BLOCK_VALUES = 4096
+
+
 def _features_to_csv(fs: FeatureSet) -> str:
-    out = io.StringIO()
-    header = ["id", "label"] + [f"f{k}" for k in range(fs.n_features)]
-    out.write(",".join(header) + "\n")
-    for i in range(fs.n_samples):
-        cells = [_csv_id(fs.sample_ids[i]), str(int(fs.labels[i]))]
-        cells.extend(_format_f32(v) for v in fs.features[i])
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    # astype(str) runs the shortest round-trip digit generation of
+    # _format_f32 in one C loop, but prints small and large magnitudes in
+    # scientific notation (1e-04, 3e+07); only those cells are redone.
+    lines = [",".join(["id", "label"] + [f"f{k}" for k in range(fs.n_features)])]
+    labels = fs.labels.tolist()
+    rows = max(1, CSV_BLOCK_VALUES // fs.n_features)
+    for start in range(0, fs.n_samples, rows):
+        block = fs.features[start : start + rows]
+        for i, cells in enumerate(block.astype(str).tolist(), start):
+            values = ",".join(cells)
+            if "e" in values:
+                values = ",".join(
+                    _format_f32(v) if "e" in cell else cell
+                    for cell, v in zip(cells, fs.features[i])
+                )
+            lines.append(f"{_csv_id(fs.sample_ids[i])},{labels[i]},{values}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _features_from_csv(
-    text: str,
+    lines: Iterable[str],
     category_names: tuple[str, ...] | None = None,
     n_categories: int | None = None,
 ) -> FeatureSet:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -392,9 +415,9 @@ def load_features(
     if format == "binary":
         return _features_from_binary(Path(path).read_bytes())
     if format == "csv":
-        return _features_from_csv(
-            Path(path).read_text(encoding="utf-8"), category_names, n_categories
-        )
+        # The csv readers parse the open file, never a copy of its whole text.
+        with open(path, encoding="utf-8") as fh:
+            return _features_from_csv(fh, category_names, n_categories)
     raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
 
 
@@ -414,22 +437,23 @@ def save_truth(fs: FeatureSet, truth: SyntheticTruth, path: str | Path) -> None:
 
 def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     """Returns (sample ids in file order, truth annotation)."""
-    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
-    header = next(reader, None)
-    if header != ["id", "true_label", "noise_kind"]:
-        raise DatasetError(f"bad truth header {header!r}")
     ids: list[str] = []
     labels: list[int] = []
     kinds: list[str] = []
     where = f"{path}: "
-    for i, row in enumerate(reader):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DatasetError(f"row {i} has {len(row)} cells, expected 3")
-        ids.append(row[0])
-        labels.append(_label_cell(row[1], i, where))
-        kinds.append(row[2])
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["id", "true_label", "noise_kind"]:
+            raise DatasetError(f"bad truth header {header!r}")
+        for i, row in enumerate(reader):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DatasetError(f"row {i} has {len(row)} cells, expected 3")
+            ids.append(row[0])
+            labels.append(_label_cell(row[1], i, where))
+            kinds.append(row[2])
     return tuple(ids), SyntheticTruth(
         true_labels=np.array(labels, dtype=np.int64), noise_kind=tuple(kinds)
     )
@@ -441,22 +465,23 @@ def load_reference_labels(path: str | Path) -> dict[str, int]:
     Accepts either the truth CSV (``id,true_label,noise_kind``) or an external
     prediction CSV (``id,predicted_label``).
     """
-    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
-    header = next(reader, None)
-    if header == ["id", "true_label", "noise_kind"] or header == ["id", "predicted_label"]:
-        pass
-    else:
-        raise DatasetError(f"unrecognized reference header {header!r}")
     out: dict[str, int] = {}
     where = f"{path}: "
-    for i, row in enumerate(reader):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DatasetError(f"row {i} has {len(row)} cells, expected {len(header)}")
-        if row[0] in out:
-            raise DatasetError(f"duplicate id {row[0]!r} at row {i}")
-        out[row[0]] = _label_cell(row[1], i, where)
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header == ["id", "true_label", "noise_kind"] or header == ["id", "predicted_label"]:
+            pass
+        else:
+            raise DatasetError(f"unrecognized reference header {header!r}")
+        for i, row in enumerate(reader):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DatasetError(f"row {i} has {len(row)} cells, expected {len(header)}")
+            if row[0] in out:
+                raise DatasetError(f"duplicate id {row[0]!r} at row {i}")
+            out[row[0]] = _label_cell(row[1], i, where)
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +278,16 @@ class TestMalformedInputs:
                      "--reference", "ref.csv", "--out-dir", "."], cwd=workspace)
         assert r.returncode == 1, r.stderr
         assert "currikit: error: row 1 has 1 cells, expected 2" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_binary_header_beyond_file_exit_1(self, tmp_path):
+        # 29 bytes whose header claims 100000 records of 100000 floats: the
+        # loader must not allocate the (N, d) matrix the header asks for.
+        header = b"CRFS" + struct.pack("<IIII", 1, 100_000, 100_000, 1)
+        (tmp_path / "big.bin").write_bytes(header + struct.pack("<I", 5) + b"cat00")
+        r = run_cli(["design", "--features", "big.bin", "--out-dir", "."], cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error: truncated file: N=100000 records at d=100000" in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("command", ["train", "analyze"])

@@ -1,10 +1,12 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from currikit import data
 from currikit.data import (
     FORMATS,
     DatasetError,
@@ -206,6 +208,58 @@ def test_feature_file_round_trip_byte_exact(fmt, fs):
         assert second.read_bytes() == first.read_bytes()
 
 
+# float32 values drawn from their bit patterns: every exponent is as likely,
+# so subnormals (exponent 0) and huge values are common. EDGES adds signed
+# zeros, the extremes and both sides of numpy's switch to scientific notation.
+F32_BITS = st.builds(
+    lambda sign, exponent, mantissa: (sign << 31) | (exponent << 23) | mantissa,
+    st.integers(0, 1), st.integers(0, 254), st.integers(0, 2**23 - 1),
+)
+_FINFO = np.finfo(np.float32)
+SCIENTIFIC_EDGES = [9.99999e-5, 1e-4, 9999999.0, 1e7, 1e8, 1e16]
+EDGES = np.array(
+    [0.0, _FINFO.max, _FINFO.smallest_subnormal, _FINFO.smallest_normal, *SCIENTIFIC_EDGES],
+    dtype=np.float32,
+)
+EDGES = np.concatenate([EDGES, np.nextafter(EDGES, np.float32(0)),
+                        np.nextafter(EDGES, _FINFO.max)])
+EDGES = np.concatenate([EDGES, -EDGES])
+F32_VALUES = st.one_of(
+    F32_BITS.map(lambda bits: np.array(bits, dtype=np.uint32).view(np.float32).item()),
+    st.sampled_from(EDGES.tolist()),
+)
+PLAIN_ROW = [1.5, -3.25, 0.1, 123456.79, 0.001, -0.0]
+SCIENTIFIC_ROW = [1e-4, -3e7, 1e-45, 9.99999e-5, 1e16, -1e8]
+
+
+@st.composite
+def csv_writer_rows(draw):
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(F32_VALUES, min_size=d, max_size=d), min_size=0, max_size=12))
+    return np.array([*rows, PLAIN_ROW[:d], SCIENTIFIC_ROW[:d]], dtype=np.float32)
+
+
+@pytest.mark.parametrize("block_values", [1, 5, data.CSV_BLOCK_VALUES])
+@settings(max_examples=150, deadline=None)
+@given(features=csv_writer_rows())
+def test_csv_writer_cells_match_reference(block_values, features):
+    """Every feature cell is _format_f32's text, whichever way numpy printed it."""
+    plain, scientific = features[-2:].astype(str)
+    assert not any("e" in cell for cell in plain)
+    assert all("e" in cell for cell in scientific)
+    # Each id holds an "e", which must not be taken for a scientific cell.
+    fs = FeatureSet(features=features, labels=np.zeros(len(features), dtype=np.int64),
+                    sample_ids=tuple(f"e{i}" for i in range(len(features))),
+                    category_names=("only",))
+    with mock.patch.object(data, "CSV_BLOCK_VALUES", block_values):
+        text = data._features_to_csv(fs)
+    lines = text.split("\n")
+    assert lines[-1] == ""
+    assert len(lines) == len(features) + 2
+    for i, (line, row) in enumerate(zip(lines[1:], features)):
+        assert line.split(",") == [f"e{i}", "0", *(data._format_f32(v) for v in row)]
+
+
 class TestCsvFormat:
     def test_round_trip_default_names(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -231,6 +285,20 @@ class TestCsvFormat:
         path.write_text("id,label,f0,f1\na,0,1.0\n")
         with pytest.raises(DatasetError, match="row 0"):
             load_features(path, "csv")
+
+    def test_crlf_files_read_as_lf(self, tmp_path):
+        fs = small_fs()
+        truth = SyntheticTruth(true_labels=np.array([0, 1, -1, 1]),
+                               noise_kind=(NOISE_CLEAN,) * 3 + (NOISE_CROSS,))
+        save_features(fs, tmp_path / "f.csv", "csv")
+        save_truth(fs, truth, tmp_path / "t.csv")
+        for name in ("f.csv", "t.csv"):
+            raw = (tmp_path / name).read_bytes()
+            (tmp_path / f"crlf-{name}").write_bytes(raw.replace(b"\n", b"\r\n"))
+        assert load_features(tmp_path / "crlf-f.csv", "csv", fs.category_names) == fs
+        assert load_truth(tmp_path / "crlf-t.csv") == (fs.sample_ids, truth)
+        assert load_reference_labels(tmp_path / "crlf-t.csv") == {
+            "s0": 0, "s1": 1, "s2": -1, "s3": 1}
 
     def test_category_metadata_restored_by_caller(self, tmp_path):
         fs = small_fs(names=("first", "second"))

@@ -1,10 +1,11 @@
-"""Golden CLI runs: the exact bytes every ``train`` mode writes.
+"""Golden CLI runs: the exact bytes ``synth --format csv`` and every ``train``
+mode write.
 
-Each test runs ``synth`` and then ``train`` in-process through ``main`` on a
-small synthetic dataset and compares the sha256 of every file ``train``
-wrote, and of its stdout, with recorded digests. Any drift in the run loop,
-the file names, the CSV and JSON writers or the summary tables shows here,
-not only in the benchmark's digests. The digests were recorded with numpy
+Each test runs ``synth``, and most then ``train``, in-process through
+``main`` on a small synthetic dataset and compares the sha256 of every file
+the last command wrote, and of its stdout, with recorded digests. Any drift
+in the run loop, the file names, the CSV and JSON writers or the summary
+tables shows here, not only in the benchmark's digests. The digests were recorded with numpy
 2.4.6 and OpenBLAS 0.3.31 on x86_64; another numeric build may round
 differently, so the comparison runs only there. Each mode runs as if on one
 and on two usable cores, so serially and with two worker processes, against
@@ -72,6 +73,26 @@ def test_mlp_noisy_fraction_sweep(tmp_path, monkeypatch, capsys, cores):
     assert stdout == SWEEP_STDOUT
 
 
+def test_synth_csv(tmp_path, monkeypatch, capsys):
+    # Seed 7 draws one feature below 1e-4 (-9.3200324e-05), a value numpy's
+    # str conversion prints in scientific notation; the file holds it
+    # positionally, as -0.000093200324.
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out-dir", ".", "--format", "csv", "--categories", "4",
+                 "--per-category", "60", "--dim", "16", "--seed", "7"]) == 0
+    files = {p.name: _sha(p.read_bytes()) for p in sorted(tmp_path.iterdir())}
+    assert files == SYNTH_CSV_FILES
+    assert _sha(capsys.readouterr().out.encode()) == SYNTH_CSV_STDOUT
+
+
+SYNTH_CSV_FILES = {
+    "features.csv":
+        "ff1ce62d7f50dc397107c7642b3989ba1b172e1bb43db045ecdb7799c1a249d2",
+    "truth.csv":
+        "c7b07b192d221abe01e191ca1c56a430cd7f67ce169639611f510e1df513d1be",
+}
+SYNTH_CSV_STDOUT = (
+    "445273e995cc517e46b5c2a882c95ca7b55c2f1b59b30f316ed8a27a4b611f60")
 ALL_STRATEGIES_FILES = {
     "batches_ModelA_s0.csv":
         "d0384218d99fc62f52b9ebd5916134febadeea413d484ef932e550b14280f028",
