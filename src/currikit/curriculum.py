@@ -126,6 +126,8 @@ class CurriculumDesign:
 
     def levels_for(self, fs: FeatureSet) -> np.ndarray:
         """Subset levels aligned to `fs` row order; every id must be known."""
+        if fs.sample_ids == self.sample_ids:
+            return self.levels
         lookup = {sid: int(lv) for sid, lv in zip(self.sample_ids, self.levels)}
         out = np.empty(fs.n_samples, dtype=np.int64)
         for i, sid in enumerate(fs.sample_ids):

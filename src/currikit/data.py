@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -341,12 +341,31 @@ def _features_to_csv(fs: FeatureSet) -> str:
     return "\n".join(lines)
 
 
+def _csv_rows(lines: Iterable[str], path: str | Path) -> Iterator[list[str]]:
+    """The rows of ``csv.reader(lines)``. A row the csv module rejects, such
+    as one with a cell longer than ``csv.field_size_limit()``, raises
+    DatasetError naming `path` and the 0-based row after the header."""
+    reader = csv.reader(lines)
+    row = -1
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            where = "header" if row < 0 else f"row {row}"
+            raise DatasetError(f"{path}: {where}: {exc}") from None
+        yield cells
+        row += 1
+
+
 def _features_from_csv(
     lines: Iterable[str],
+    path: str | Path,
     category_names: tuple[str, ...] | None = None,
     n_categories: int | None = None,
 ) -> FeatureSet:
-    reader = csv.reader(lines)
+    reader = _csv_rows(lines, path)
     try:
         header = next(reader)
     except StopIteration:
@@ -417,7 +436,7 @@ def load_features(
     if format == "csv":
         # The csv readers parse the open file, never a copy of its whole text.
         with open(path, encoding="utf-8") as fh:
-            return _features_from_csv(fh, category_names, n_categories)
+            return _features_from_csv(fh, path, category_names, n_categories)
     raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
 
 
@@ -442,7 +461,7 @@ def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     kinds: list[str] = []
     where = f"{path}: "
     with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header != ["id", "true_label", "noise_kind"]:
             raise DatasetError(f"bad truth header {header!r}")
@@ -468,7 +487,7 @@ def load_reference_labels(path: str | Path) -> dict[str, int]:
     out: dict[str, int] = {}
     where = f"{path}: "
     with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header == ["id", "true_label", "noise_kind"] or header == ["id", "predicted_label"]:
             pass

@@ -21,22 +21,23 @@ masked out.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import glob
 import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import replace
-from functools import cache, partial
+from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .curriculum import CurriculumDesign, CurriculumParams, design
 from .data import FeatureSet
-from .schedule import StageSpec, default_schedule, plain_schedule
+from .schedule import CurriculumSampler, StageSpec, default_schedule, lr_at, plain_schedule
 from .seeding import component_rng
-from .trainer import RunMetrics, train
+from .trainer import RunMetrics, TrainState, train
 
 # tag -> (design method, stages of the reference plan; None = plain schedule)
 _STRATEGIES = {
@@ -123,12 +124,21 @@ def run_grid(
     highly-noisy sample is ever used, so the batch mix reduces to ModelC's
     clean+noisy subsets.
 
-    The parent process designs the curricula and builds every run's
-    schedule and keep-mask; forked worker processes, one per usable core
-    and never more than the runs, then train the runs, while numpy's
-    OpenBLAS runs one thread. A run's outputs do not depend on the number
-    of workers. Where the OpenBLAS thread-count call is not found, the runs
-    train one after another in this process."""
+    Runs of one seed and curriculum that train identically up to a stage
+    boundary train that prefix once: ModelB, ModelC and ModelD share their
+    first stage, ModelC and ModelD their second, and every fraction of a
+    sweep shares the stages that never draw the highly-noisy subset. The
+    grid is planned as a tree of segments (:class:`_Grid`); each segment
+    continues from its parent's end state, and each run's metrics and batch
+    log are the same as from its own :func:`train` call.
+
+    The parent process designs the curricula, builds every run's schedule
+    and keep-mask and plans the segments; forked worker processes, one per
+    usable core and never more than the runs, then train the segments,
+    while numpy's OpenBLAS runs one thread. A segment is sent to a worker
+    as soon as its parent segment's end state is back. A run's outputs do
+    not depend on the number of workers. Where the OpenBLAS thread-count
+    call is not found, the runs train one after another in this process."""
     if fractions is not None:
         if any(f < 0 or f > 1 for f in fractions):
             raise ValueError("fractions must lie in [0, 1]")
@@ -151,50 +161,237 @@ def run_grid(
                 run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
                 for seed in seeds:
                     keep = None if fraction is None else restrict_highly_noisy(cd, fraction, seed)
-                    runs.append(partial(
-                        _train_run, run_tag, fs_train, fs_test, cd, schedule, seed, keep,
-                        batch_log, arch=arch, hidden_dim=hidden_dim, topk=topk,
-                    ))
-        workers = min(_usable_cores(), len(runs))
+                    runs.append(_Run(run_tag, cd, schedule, seed, keep))
+        grid = _Grid(runs, fs_train, fs_test, arch=arch, hidden_dim=hidden_dim, topk=topk,
+                     batch_log=batch_log)
+        workers = min(_usable_cores(), sum(not c for c in grid.children))
         if workers <= 1 or not capped or not hasattr(os, "fork"):
-            for run in runs:
-                yield run()
-            return
+            yield from grid.train_serially()
+        else:
+            yield from grid.train_in_pool(workers)
+
+
+@dataclass(frozen=True, eq=False)
+class _Run:
+    tag: str
+    cd: CurriculumDesign
+    schedule: list[StageSpec]
+    seed: int
+    keep: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """The iterations up to `stop` that `runs` (grid indices, in serial
+    order) train identically, from the end of segment `parent` or, when
+    that is None, from a fresh start. The first of the runs trains it."""
+
+    runs: tuple[int, ...]
+    stop: int
+    parent: int | None
+
+
+def _change_points(schedule: list[StageSpec]) -> list[tuple[int, StageSpec]]:
+    """(iteration, stage) wherever the stage or the learning rate may change."""
+    points = []
+    start = 0
+    for stage in schedule:
+        stop = start + stage.iterations
+        points += [(it, stage) for it in (start, *(it for it, _ in stage.lr_plan))
+                   if start <= it < stop]
+        start = stop
+    return points
+
+
+def _stage_at(points: list[tuple[int, StageSpec]], iteration: int) -> StageSpec:
+    return next(stage for start, stage in reversed(points) if start <= iteration)
+
+
+class _Grid:
+    """The runs of one grid, planned as a prefix tree of segments.
+
+    Two runs share iterations [0, t) only when they have the same
+    curriculum, seed and total iterations, and at every iteration before t
+    the same stage index, batch composition, loss weights and learning rate,
+    the same sampler pools at or below that stage's level, and no stage that
+    moves picks from an empty level (those log a warning per run, so they
+    are never shared). Sharing is then the same at every level of the tree:
+    runs that share [0, t) with a third run share [0, t) with each other.
+    """
+
+    def __init__(self, runs: list[_Run], fs_train: FeatureSet, fs_test: FeatureSet, *,
+                 arch: str, hidden_dim: int, topk: int, batch_log: bool):
+        self.runs = runs
+        self.fs_train, self.fs_test = fs_train, fs_test
+        self.arch, self.hidden_dim, self.topk = arch, hidden_dim, topk
+        self.batch_log = batch_log
+        self.segments: list[_Segment] = []
+        self.last = [0] * len(runs)  # each run's last segment
+        points = [_change_points(r.schedule) for r in runs]
+        totals = [sum(s.iterations for s in r.schedule) for r in runs]
+
+        @cache
+        def sampler(a: int) -> CurriculumSampler:
+            return CurriculumSampler(runs[a].cd, fs_train, runs[a].keep)
+
+        def same_step(a: int, b: int, sa: StageSpec, sb: StageSpec, it: int) -> bool:
+            k = sa.stage_index + 1
+            return (
+                (sa.stage_index, sa.batch_size, sa.batch_composition, sa.loss_weights,
+                 lr_at(sa.lr_plan, it))
+                == (sb.stage_index, sb.batch_size, sb.batch_composition, sb.loss_weights,
+                    lr_at(sb.lr_plan, it))
+                and not sampler(a).moves_picks(sa) and not sampler(b).moves_picks(sb)
+                and all(map(np.array_equal, sampler(a).by_level[:k], sampler(b).by_level[:k]))
+            )
+
+        def shared(a: int, b: int) -> int:
+            """How many first iterations runs a and b train identically."""
+            ra, rb = runs[a], runs[b]
+            if ra.cd is not rb.cd or ra.seed != rb.seed or totals[a] != totals[b]:
+                return 0
+            for it in sorted({it for it, _ in points[a] + points[b]}):
+                if not same_step(a, b, _stage_at(points[a], it), _stage_at(points[b], it), it):
+                    return it
+            return totals[a]
+
+        def grow(members: list[int], start: int, parent: int | None) -> None:
+            head = members[0]
+            stop = min((shared(head, m) for m in members[1:]), default=totals[head])
+            if stop > start or len(members) == 1:
+                self.segments.append(_Segment(tuple(members), stop, parent))
+                parent = len(self.segments) - 1
+                if stop == totals[head]:
+                    for m in members:
+                        self.last[m] = parent
+                    return
+            groups: list[list[int]] = []
+            for m in members:
+                group = next((g for g in groups if shared(g[0], m) > stop), None)
+                if group is None:
+                    groups.append([m])
+                else:
+                    group.append(m)
+            for group in groups:
+                grow(group, stop, parent)
+
+        grow(list(range(len(runs))), 0, None)
+        self.children: list[list[int]] = [[] for _ in self.segments]
+        for i, seg in enumerate(self.segments):
+            if seg.parent is not None:
+                self.children[seg.parent].append(i)
+
+    def path(self, run: int) -> list[int]:
+        """The segments that train `run`, from its fresh start to its end."""
+        out = [self.last[run]]
+        while self.segments[out[-1]].parent is not None:
+            out.append(self.segments[out[-1]].parent)
+        return out[::-1]
+
+    def train_segment(
+        self, i: int, state: TrainState | None
+    ) -> tuple[TrainState | None, RunMetrics, list | None]:
+        """Train segment `i` from its parent's end `state` (None: a fresh
+        start); return the end state if a child segment needs it, the
+        metrics so far and the segment's own batch log."""
+        seg = self.segments[i]
+        run = self.runs[seg.runs[0]]
+        if state is None:
+            state = TrainState.start(self.fs_train, run.seed, self.arch, self.hidden_dim)
+        log = [] if self.batch_log else None
+        _, metrics = train(run.tag, self.fs_train, self.fs_test, run.cd, run.schedule, run.seed,
+                           topk=self.topk, batch_log=log, include_mask=run.keep,
+                           state=state, stop=seg.stop)
+        return (state if self.children[i] else None), metrics, log
+
+    def result(self, run: int, done: dict) -> tuple[RunMetrics, list | None]:
+        """Run `run`'s metrics and batch log from its segments' results in
+        `done`, then forget the segments no later run needs."""
+        path = self.path(run)
+        leaf = self.segments[path[-1]]
+        metrics = done[path[-1]][1]
+        if run != leaf.runs[0]:
+            metrics = replace(metrics, strategy=self.runs[run].tag)
+        log = [entry for i in path for entry in done[i][2]] if self.batch_log else None
+        for i in path:
+            if self.segments[i].runs[-1] == run:
+                del done[i]
+        return metrics, log
+
+    def train_serially(self) -> Iterator[tuple[RunMetrics, list | None]]:
+        """Train in this process, each run's own segments at its turn, so
+        that the runs log their warnings in serial order."""
+        done: dict[int, tuple] = {}
+        for run in range(len(self.runs)):
+            for i in self.path(run):
+                if i not in done:
+                    parent = self.segments[i].parent
+                    start = None if parent is None else copy.deepcopy(done[parent][0])
+                    done[i] = self.train_segment(i, start)
+            yield self.result(run, done)
+
+    def train_in_pool(self, workers: int) -> Iterator[tuple[RunMetrics, list | None]]:
+        """Train in forked workers; a segment is submitted when its parent's
+        end state arrives, and a failed segment is raised at the turn of the
+        first run through it."""
         # Fork, not spawn: workers inherit the data and designs instead of
         # importing and receiving them. The parent's only other threads are
         # OpenBLAS's, which OpenBLAS's own fork handler joins before a fork,
         # and the executor forks every worker before it starts its manager
         # thread, so the parent holds one OS thread when it forks (Python
         # 3.12+ warns otherwise). Checked on CPython 3.11 only.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from multiprocessing import get_context
 
         with ProcessPoolExecutor(
-            workers, mp_context=get_context("fork"), initializer=_inherit_runs, initargs=(runs,)
+            workers, mp_context=get_context("fork"), initializer=_hold_grid, initargs=(self,)
         ) as pool:
-            yield from pool.map(_run_one, range(len(runs)))
+            pending = {}
+            done: dict[int, tuple] = {}
+            failed: dict[int, Exception] = {}
+
+            def submit(i: int, state: TrainState | None) -> None:
+                pending[pool.submit(_train_held_segment, i, state)] = i
+
+            try:
+                for i, seg in enumerate(self.segments):
+                    if seg.parent is None:
+                        submit(i, None)
+                for run in range(len(self.runs)):
+                    path = self.path(run)
+                    while not all(i in done for i in path):
+                        for i in path:
+                            if i in failed:
+                                raise failed[i]
+                        finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+                        for future in finished:
+                            i = pending.pop(future)
+                            try:
+                                done[i] = future.result()
+                            except Exception as exc:
+                                failed[i] = exc
+                                continue
+                            for child in self.children[i]:
+                                submit(child, done[i][0])
+                    yield self.result(run, done)
+            finally:
+                pool.shutdown(cancel_futures=True)
 
 
-def _train_run(tag, fs_train, fs_test, cd, schedule, seed, keep, batch_log, **options):
-    log = [] if batch_log else None
-    _, metrics = train(tag, fs_train, fs_test, cd, schedule, seed,
-                       batch_log=log, include_mask=keep, **options)
-    return metrics, log
+# The grid a forked worker inherited from run_grid; set in workers only.
+_worker_grid: _Grid | None = None
 
 
-# The runs a forked worker inherited from run_grid; set in workers only.
-_worker_runs: list = []
+def _hold_grid(grid: _Grid) -> None:
+    global _worker_grid
+    _worker_grid = grid
 
 
-def _inherit_runs(runs: list) -> None:
-    global _worker_runs
-    _worker_runs = runs
-
-
-def _run_one(i: int) -> tuple[RunMetrics, list | None]:
-    """Train run `i` of the grid this worker inherited; only `i` is sent to
-    the worker and only the run's result is sent back."""
-    return _worker_runs[i]()
+def _train_held_segment(i: int, state: TrainState | None):
+    """Train segment `i` of the grid this worker inherited; only `i` and the
+    parent segment's end state are sent to the worker, and only the
+    segment's results come back."""
+    return _worker_grid.train_segment(i, state)
 
 
 def _usable_cores() -> int:

@@ -264,6 +264,13 @@ class CurriculumSampler:
             raise ValueError("level 0 subset is empty; cannot build a batch")
         return counts
 
+    def moves_picks(self, stage: StageSpec) -> bool:
+        """Whether `stage` asks for picks from an empty level above level 0,
+        which its batches then move to a lower level (and log once)."""
+        counts = stage.batch_composition or ()
+        return any(count and not pool.size
+                   for count, pool in zip(counts[1:], self.by_level[1:]))
+
     def _draws(self, stage: StageSpec) -> tuple[list, np.ndarray]:
         """The (pool, count) draws of one batch of `stage`, in draw order,
         and its loss weight per level. A pool of None is the category-balanced

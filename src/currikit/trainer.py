@@ -281,6 +281,32 @@ def _stage_pool_loss(
     return weighted_ce_loss(logits, labels[pool], stage.sample_weights(levels[pool]))[0]
 
 
+@dataclass
+class TrainState:
+    """A run after its first `iteration` steps: the model, its momentum
+    buffers, the batch generator and the eval points so far. :func:`train`
+    continues it bit for bit as if the run had never stopped."""
+
+    iteration: int
+    model: ClassifierModel
+    velocity: dict[str, np.ndarray]
+    rng: np.random.Generator
+    points: list[EvalPoint]
+
+    @staticmethod
+    def start(
+        fs_train: FeatureSet, seed: int, arch: str = "linear", hidden_dim: int = 32
+    ) -> "TrainState":
+        """A fresh run of `seed`: initial weights, zero momentum, no step taken."""
+        model = ClassifierModel.initialize(
+            arch, fs_train.n_features, fs_train.n_categories,
+            component_rng(seed, "model-init"), hidden_dim,
+            train_features=fs_train.features,
+        )
+        velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+        return TrainState(0, model, velocity, component_rng(seed, "batches"), [])
+
+
 def train(
     strategy_tag: str,
     fs_train: FeatureSet,
@@ -295,6 +321,8 @@ def train(
     eval_every: int | None = None,
     batch_log: list | None = None,
     include_mask: np.ndarray | None = None,
+    state: TrainState | None = None,
+    stop: int | None = None,
 ) -> tuple[ClassifierModel, RunMetrics]:
     """Run the staged schedule and return the model with its metrics.
 
@@ -307,16 +335,22 @@ def train(
     level_counts, stage loss weights per level) tuple is appended per batch. `include_mask`
     removes samples from the sampling pools without changing the dataset
     (and therefore without changing input standardization).
+
+    A run is one segment from a fresh start to the end. Given a `state`
+    (from :meth:`TrainState.start` or an earlier call), the run goes on from
+    that state's iteration, advancing the state in place, and stops after
+    iteration `stop` (default: the end); `arch` and `hidden_dim` then come
+    from the state's model. The metrics hold every eval point since
+    iteration 0; their final errors stay nan until the run reaches its end.
     """
     sampler = CurriculumSampler(cd, fs_train, include_mask)
-    model = ClassifierModel.initialize(
-        arch, fs_train.n_features, fs_train.n_categories,
-        component_rng(seed, "model-init"), hidden_dim,
-        train_features=fs_train.features,
-    )
-    rng = component_rng(seed, "batches")
-    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    if state is None:
+        state = TrainState.start(fs_train, seed, arch, hidden_dim)
+    model, velocity, rng = state.model, state.velocity, state.rng
     total = sum(s.iterations for s in schedule)
+    stop = total if stop is None else stop
+    if not state.iteration <= stop <= total:
+        raise ValueError(f"stop {stop} is outside [{state.iteration}, {total}]")
     if eval_every is None:
         eval_every = max(1, total // 10)
 
@@ -331,7 +365,7 @@ def train(
         top1, topk_err, *by_category = evaluate(model, fs_test, topk, by_category=final)
         if final:
             metrics.per_category_top1, metrics.per_category_topk = by_category
-        metrics.points.append(
+        state.points.append(
             EvalPoint(
                 iteration=iteration,
                 stage=stage.stage_index,
@@ -343,10 +377,13 @@ def train(
             )
         )
 
-    record(0, schedule[0])
-    iteration = 0
+    if not state.points:
+        record(0, schedule[0])
+    iteration = state.iteration
+    stage_end = 0
     for stage in schedule:
-        for _ in range(stage.iterations):
+        stage_end += stage.iterations
+        while iteration < min(stage_end, stop):
             lr = lr_at(stage.lr_plan, iteration)
             batch = sampler.next_batch(stage, rng)
             if batch_log is not None:
@@ -372,8 +409,11 @@ def train(
             if iteration % eval_every == 0 or iteration == total:
                 record(iteration, stage)
 
-    metrics.final_top1 = metrics.points[-1].test_top1
-    metrics.final_topk = metrics.points[-1].test_topk
+    state.iteration = iteration
+    metrics.points = list(state.points)
+    if iteration == total:
+        metrics.final_top1 = metrics.points[-1].test_top1
+        metrics.final_topk = metrics.points[-1].test_topk
     return model, metrics
 
 

@@ -309,6 +309,34 @@ class TestMalformedInputs:
         assert "currikit: error: truth.csv: row 2: label 'zz' is not an integer" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("reader", ["features", "truth", "reference"])
+    def test_csv_cell_over_field_limit_exit_1(self, workspace, reader):
+        # csv.field_size_limit() is 131072 characters by default; the csv
+        # module raises csv.Error, which is no ValueError, past it.
+        long_id = "x" * 200_000
+        if reader == "features":
+            (workspace / "big.csv").write_text(f"id,label,f0\n{long_id},0,1.0\n")
+            args = ["design", "--features", "big.csv", "--out-dir", "."]
+            where = "big.csv: row 0"
+        elif reader == "truth":
+            lines = (workspace / "truth.csv").read_text().splitlines(keepends=True)
+            lines[2] = long_id + lines[2][lines[2].index(","):]  # data row 1
+            (workspace / "truth.csv").write_text("".join(lines))
+            args = TRAIN + ["--strategies", "A", "--out-dir", "."]
+            where = "truth.csv: row 1"
+        else:
+            r = run_cli(["design", "--features", "features.bin", "--out-dir", "."],
+                        cwd=workspace)
+            assert r.returncode == 0, r.stderr
+            (workspace / "ref.csv").write_text(f"id,predicted_label\ns0,1\n{long_id},1\n")
+            args = ["analyze", "--curriculum", "curriculum.json",
+                    "--reference", "ref.csv", "--out-dir", "."]
+            where = "ref.csv: row 1"
+        r = run_cli(args, cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert f"currikit: error: {where}: field larger than field limit" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestResourceLimits:
     @pytest.mark.parametrize("command", [

@@ -1,6 +1,8 @@
+import logging
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from currikit.experiments import (
     run_grid,
     summarize,
 )
-from currikit.trainer import holdout_split, train
+from currikit import trainer
+from currikit.trainer import ClassifierModel, TrainingDiverged, holdout_split, train
 
 PLANT = dict(n_categories=10, per_category=200, n_features=32,
              clean_frac=0.60, cross_frac=0.25, uniform_frac=0.15, blob_sigma=2.0)
@@ -221,6 +224,122 @@ class TestWorkers:
         one = [m.to_dict() for m, _ in _grid(split, monkeypatch, cores=1, seeds=(0, 1, 2))]
         two = [m.to_dict() for m, _ in _grid(split, monkeypatch, cores=2, seeds=(0, 1, 2))]
         assert one == two
+
+
+SHARE_SCALE = 0.0005
+ABLATION = ["ModelA", "ModelB", "ModelC", "ModelD", "ModelD_kmeans"]
+
+
+def _independent_runs(split, tags, seeds, fractions=None, scale=SHARE_SCALE, **options):
+    """Each run of the grid from its own train call: (metrics dict, batch log)."""
+    fs_train, _, fs_test = split
+    cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
+    out = []
+    for tag in tags:
+        cd, schedule = build_strategy(tag, cache, 64, scale)
+        for fraction in [None] if fractions is None else fractions:
+            run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
+            for seed in seeds:
+                keep = None if fraction is None else restrict_highly_noisy(cd, fraction, seed)
+                log = []
+                _, m = train(run_tag, fs_train, fs_test, cd, schedule, seed,
+                             batch_log=log, include_mask=keep, **options)
+                out.append((m.to_dict(), log))
+    return out
+
+
+def _grid_runs(split, tags, seeds, fractions=None, scale=SHARE_SCALE, **options):
+    fs_train, _, fs_test = split
+    return [(m.to_dict(), log) for m, log in run_grid(
+        tags, seeds, fs_train, fs_test, CurriculumParams(seed=0), fractions=fractions,
+        scale=scale, batch_log=True, **options)]
+
+
+@pytest.fixture()
+def count_steps(monkeypatch):
+    calls = []
+    step = ClassifierModel.loss_and_grads
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClassifierModel, "loss_and_grads", counted)
+    return calls
+
+
+def _level_one_moved_up(monkeypatch):
+    """Make every curriculum's level 1 empty, so stages 1 and 2 move its picks."""
+    design = experiments.design
+
+    def emptied(*args):
+        cd = design(*args)
+        return replace(cd, levels=np.where(cd.levels == 1, 2, cd.levels))
+
+    monkeypatch.setattr(experiments, "design", emptied)
+
+
+GRIDS = {
+    "ablation": dict(tags=ABLATION, seeds=[0, 1]),
+    "sweep": dict(tags=["ModelD"], seeds=[1, 2], fractions=[0.0, 0.5, 1.0], arch="mlp",
+                  hidden_dim=16),
+}
+_REFERENCE: dict[str, list] = {}
+
+
+class TestSharedPrefixes:
+    @pytest.mark.parametrize("tags, fractions, scale, steps", [
+        (["ModelD"], [0.0, 0.5, 1.0], 0.0005, 1100),
+        (["ModelA", "ModelB", "ModelC", "ModelD"], None, 0.001, 2000),
+        (["ModelA", "ModelD", "ModelD_kmeans"], None, 0.001, 2100),
+    ], ids=["mlp-sweep", "A,B,C,D", "A,D,D_kmeans"])
+    def test_steps_trained(self, split, monkeypatch, count_steps, tags, fractions, scale, steps):
+        # Independent runs take 2100, 2800 and 2100 steps. The sweep's
+        # fractions share stages 0 and 1 (250 of 350 iterations); ModelB,
+        # ModelC and ModelD share stage 0 and ModelC and ModelD stage 1;
+        # ModelA, ModelD and ModelD_kmeans share nothing.
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+        seeds = [1, 2] if fractions else [1]
+        _grid_runs(split, tags, seeds, fractions, scale, arch="mlp", hidden_dim=16)
+        assert len(count_steps) == steps
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_runs_equal_independent_runs(self, split, monkeypatch, cores, grid):
+        if grid not in _REFERENCE:
+            _REFERENCE[grid] = _independent_runs(split, **GRIDS[grid])
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
+        assert _grid_runs(split, **GRIDS[grid]) == _REFERENCE[grid]
+
+    def test_empty_level_warnings_per_run(self, split, monkeypatch, caplog):
+        _level_one_moved_up(monkeypatch)
+        tags = ["ModelB", "ModelC", "ModelD"]
+        with caplog.at_level(logging.WARNING, logger="currikit.schedule"):
+            expected = _independent_runs(split, tags, [0, 1])
+            independent_logs = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+            caplog.clear()
+            monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+            assert _grid_runs(split, tags, [0, 1]) == expected
+            grid_logs = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+        # ModelC and ModelD each move level-1 picks in stage 1, ModelD also in
+        # stage 2: one warning per run and stage.
+        assert len(independent_logs) == 6
+        assert grid_logs == independent_logs
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_divergence_in_shared_segment_names_first_run(self, split, monkeypatch, cores):
+        lr_at = trainer.lr_at
+        monkeypatch.setattr(trainer, "lr_at",
+                            lambda plan, it: 1e300 if it >= 100 else lr_at(plan, it))
+        tags = ["ModelB", "ModelC", "ModelD"]  # stage 0 (300 iterations) is shared
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as independent:
+                _independent_runs(split, tags, [0], scale=0.001)
+            with pytest.raises(TrainingDiverged) as grid:
+                _grid_runs(split, tags, [0], scale=0.001)
+        assert str(independent.value).startswith("ModelB seed 0: non-finite loss at iteration 10")
+        assert str(grid.value) == str(independent.value)
 
 
 def merged_noise_dataset(seed):
