@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     N_BINS,
     category_correct_rates,
@@ -250,15 +248,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     if fractions is not None:
         atomic_write_text(out_dir / "sweep_metrics.csv", _metrics_csv(runs))
-        run_fractions = [f for f in fractions for _ in seeds]
-        table = {}
-        for fraction in fractions:
-            errs = [m.final_top1 for f, m in zip(run_fractions, runs) if f == fraction]
-            errs_k = [m.final_topk for f, m in zip(run_fractions, runs) if f == fraction]
-            table[f"{fraction:g}"] = {
-                "mean_top1": float(np.mean(errs)),
-                "mean_topk": float(np.mean(errs_k)),
-            }
+        table = {
+            f"{fraction:g}": {"mean_top1": row["mean_top1"], "mean_topk": row["mean_topk"]}
+            for fraction, row in zip(fractions, summarize(runs).values(), strict=True)
+        }
         atomic_write_text(out_dir / "sweep_summary.json", _json_text(table))
         print("fraction  mean_top1  mean_topk")
         for key, row in table.items():

@@ -155,6 +155,23 @@ class CurriculumDesign:
 # 1-D k-means partition
 
 
+def _lloyd(points: np.ndarray, centroids: np.ndarray, nearest, max_iters: int):
+    """Lloyd k-means from `centroids`, each point going to ``nearest(points,
+    centroids)``, until no centroid moves or after `max_iters` updates; an empty
+    cluster keeps its centroid. Returns the centroids and the assignment."""
+    for _ in range(max_iters):
+        assign = nearest(points, centroids)
+        new_centroids = centroids.copy()
+        for j in range(len(centroids)):
+            members = points[assign == j]
+            if members.size:
+                new_centroids[j] = members.mean(axis=0)
+        if np.array_equal(new_centroids, centroids):
+            break
+        centroids = new_centroids
+    return centroids, nearest(points, centroids)
+
+
 def _nearest_1d(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # Ties go to the lower cluster index (argmin picks the first minimum).
     return np.abs(values[:, None] - centroids[None, :]).argmin(axis=1)
@@ -189,17 +206,7 @@ def partition_category(
         return np.zeros(values.size, dtype=np.int64)
 
     centroids = np.quantile(values, np.linspace(0.0, 1.0, n_subsets))
-    for _ in range(max_iters):
-        assign = _nearest_1d(values, centroids)
-        new_centroids = centroids.copy()
-        for j in range(n_subsets):
-            members = values[assign == j]
-            if members.size:
-                new_centroids[j] = members.mean()
-        if np.array_equal(new_centroids, centroids):
-            break
-        centroids = new_centroids
-    assign = _nearest_1d(values, centroids)
+    centroids, assign = _lloyd(values, centroids, _nearest_1d, max_iters)
 
     order = np.argsort(centroids, kind="stable")
     rank = np.empty(n_subsets, dtype=np.int64)
@@ -278,21 +285,11 @@ def _kmeans_features(
         nxt = int(np.argmax(min_d2))
         chosen.append(nxt)
         min_d2 = np.minimum(min_d2, ((feats - feats[nxt]) ** 2).sum(axis=1))
-    centroids = feats[chosen].copy()
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
-        d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = feats[assign == j]
-            if members.size:
-                new_centroids[j] = members.mean(axis=0)
-        if np.array_equal(new_centroids, centroids):
-            break
-        centroids = new_centroids
-    d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return _lloyd(feats, feats[chosen], _nearest_features, max_iters)[1]
+
+
+def _nearest_features(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
 
 
 def _kmeans_rule(c: int, feats: np.ndarray, params: CurriculumParams):

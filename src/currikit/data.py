@@ -10,7 +10,7 @@ Two on-disk feature formats are supported:
   id holding a comma, a double quote or a line break cannot be written. Category
   names and the category count are not representable in this format; the
   loader infers ``C = max(label) + 1`` and default names unless the caller
-  supplies them.
+  passes ``category_names``.
 
 Ground truth for synthetic data is a CSV ``id,true_label,noise_kind``.
 """
@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -341,49 +341,50 @@ def _features_to_csv(fs: FeatureSet) -> str:
     return "\n".join(lines)
 
 
-def _csv_rows(lines: Iterable[str], path: str | Path) -> Iterator[list[str]]:
-    """The rows of ``csv.reader(lines)``. A row the csv module rejects, such
-    as one with a cell longer than ``csv.field_size_limit()``, raises
-    DatasetError naming `path` and the 0-based row after the header."""
+def _csv_rows(
+    lines: Iterable[str], path: str | Path, check_header: Callable[[list[str] | None], int]
+) -> Iterator[tuple[int, list[str]]]:
+    """(row, cells) of every non-blank row of ``csv.reader(lines)`` after the
+    header, rows numbered from 0 after the header, blank ones included.
+    `check_header` gets the header (None for an empty file), raises if it is
+    bad and returns the number of cells every row must have. A row the csv
+    module rejects, such as one with a cell longer than
+    ``csv.field_size_limit()``, raises DatasetError naming `path` and the row."""
     reader = csv.reader(lines)
     row = -1
     while True:
         try:
-            cells = next(reader)
-        except StopIteration:
-            return
+            cells = next(reader, None)
         except csv.Error as exc:
             where = "header" if row < 0 else f"row {row}"
             raise DatasetError(f"{path}: {where}: {exc}") from None
-        yield cells
+        if row < 0:
+            width = check_header(cells)
+        elif cells is None:
+            return
+        elif cells:
+            if len(cells) != width:
+                raise DatasetError(f"row {row} has {len(cells)} cells, expected {width}")
+            yield row, cells
         row += 1
 
 
 def _features_from_csv(
-    lines: Iterable[str],
-    path: str | Path,
-    category_names: tuple[str, ...] | None = None,
-    n_categories: int | None = None,
+    lines: Iterable[str], path: str | Path, category_names: tuple[str, ...] | None = None
 ) -> FeatureSet:
-    reader = _csv_rows(lines, path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError("empty csv file") from None
-    if len(header) < 3 or header[0] != "id" or header[1] != "label":
-        raise DatasetError(f"bad csv header {header!r}")
-    d = len(header) - 2
-    expected = [f"f{k}" for k in range(d)]
-    if header[2:] != expected:
-        raise DatasetError(f"bad csv feature columns {header[2:]!r}")
+    def check_header(header: list[str] | None) -> int:
+        if header is None:
+            raise DatasetError("empty csv file")
+        if len(header) < 3 or header[0] != "id" or header[1] != "label":
+            raise DatasetError(f"bad csv header {header!r}")
+        if header[2:] != [f"f{k}" for k in range(len(header) - 2)]:
+            raise DatasetError(f"bad csv feature columns {header[2:]!r}")
+        return len(header)
+
     ids: list[str] = []
     labels: list[int] = []
     rows: list[np.ndarray] = []
-    for i, row in enumerate(reader):
-        if not row:
-            continue
-        if len(row) != d + 2:
-            raise DatasetError(f"row {i} has {len(row)} cells, expected {d + 2}")
+    for i, row in _csv_rows(lines, path, check_header):
         ids.append(row[0])
         labels.append(_label_cell(row[1], i))
         try:
@@ -396,8 +397,7 @@ def _features_from_csv(
     if not rows:
         raise DatasetError("csv file has no data rows")
     if category_names is None:
-        c = n_categories if n_categories is not None else max(labels) + 1
-        category_names = tuple(f"cat{k:03d}" for k in range(c))
+        category_names = tuple(f"cat{k:03d}" for k in range(max(labels) + 1))
     return FeatureSet(
         features=np.vstack(rows),
         labels=np.array(labels, dtype=np.int64),
@@ -421,22 +421,19 @@ def save_features(fs: FeatureSet, path: str | Path, format: str) -> None:
 
 
 def load_features(
-    path: str | Path,
-    format: str,
-    category_names: tuple[str, ...] | None = None,
-    n_categories: int | None = None,
+    path: str | Path, format: str, category_names: tuple[str, ...] | None = None
 ) -> FeatureSet:
     """Load and validate a feature file written by :func:`save_features`.
 
-    `category_names` / `n_categories` restore metadata the csv format cannot
-    carry; both are ignored for binary files, which store it.
+    `category_names` restores the names and count the csv format cannot
+    carry; it is ignored for binary files, which store them.
     """
     if format == "binary":
         return _features_from_binary(Path(path).read_bytes())
     if format == "csv":
         # The csv readers parse the open file, never a copy of its whole text.
         with open(path, encoding="utf-8") as fh:
-            return _features_from_csv(fh, path, category_names, n_categories)
+            return _features_from_csv(fh, path, category_names)
     raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
 
 
@@ -456,22 +453,18 @@ def save_truth(fs: FeatureSet, truth: SyntheticTruth, path: str | Path) -> None:
 
 def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     """Returns (sample ids in file order, truth annotation)."""
+    def check_header(header: list[str] | None) -> int:
+        if header != ["id", "true_label", "noise_kind"]:
+            raise DatasetError(f"bad truth header {header!r}")
+        return 3
+
     ids: list[str] = []
     labels: list[int] = []
     kinds: list[str] = []
-    where = f"{path}: "
     with open(path, encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        header = next(reader, None)
-        if header != ["id", "true_label", "noise_kind"]:
-            raise DatasetError(f"bad truth header {header!r}")
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"row {i} has {len(row)} cells, expected 3")
+        for i, row in _csv_rows(fh, path, check_header):
             ids.append(row[0])
-            labels.append(_label_cell(row[1], i, where))
+            labels.append(_label_cell(row[1], i, f"{path}: "))
             kinds.append(row[2])
     return tuple(ids), SyntheticTruth(
         true_labels=np.array(labels, dtype=np.int64), noise_kind=tuple(kinds)
@@ -484,23 +477,17 @@ def load_reference_labels(path: str | Path) -> dict[str, int]:
     Accepts either the truth CSV (``id,true_label,noise_kind``) or an external
     prediction CSV (``id,predicted_label``).
     """
-    out: dict[str, int] = {}
-    where = f"{path}: "
-    with open(path, encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        header = next(reader, None)
-        if header == ["id", "true_label", "noise_kind"] or header == ["id", "predicted_label"]:
-            pass
-        else:
+    def check_header(header: list[str] | None) -> int:
+        if header not in (["id", "true_label", "noise_kind"], ["id", "predicted_label"]):
             raise DatasetError(f"unrecognized reference header {header!r}")
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(f"row {i} has {len(row)} cells, expected {len(header)}")
+        return len(header)
+
+    out: dict[str, int] = {}
+    with open(path, encoding="utf-8") as fh:
+        for i, row in _csv_rows(fh, path, check_header):
             if row[0] in out:
                 raise DatasetError(f"duplicate id {row[0]!r} at row {i}")
-            out[row[0]] = _label_cell(row[1], i, where)
+            out[row[0]] = _label_cell(row[1], i, f"{path}: ")
     return out
 
 

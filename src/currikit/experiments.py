@@ -113,7 +113,8 @@ def run_grid(
 ) -> Iterator[tuple[RunMetrics, list | None]]:
     """Train every strategy x seed, or with `fractions` every strategy x
     fraction x seed, and yield each run's (metrics, batch log or None) in
-    that order. Each curriculum is designed once.
+    that order. Each curriculum is designed once. A strategy or seed listed
+    twice raises ValueError before anything is designed.
 
     A fraction run keeps only a seeded uniform share of the highly-noisy
     subset (:func:`restrict_highly_noisy`) and is tagged
@@ -139,6 +140,10 @@ def run_grid(
     as soon as its parent segment's end state is back. A run's outputs do
     not depend on the number of workers. Where the OpenBLAS thread-count
     call is not found, the runs train one after another in this process."""
+    for what, entries in (("strategy", tags), ("seed", seeds)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise ValueError(f"{what} {entry!r} is listed twice; each run needs its own entry")
     if fractions is not None:
         if any(f < 0 or f > 1 for f in fractions):
             raise ValueError("fractions must lie in [0, 1]")

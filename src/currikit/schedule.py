@@ -195,6 +195,31 @@ def plain_schedule(batch_size: int = BASE_BATCH, scale: float = 1.0) -> list[Sta
 # sampling
 
 
+def _move_picks(
+    composition: tuple[int, ...], pool_sizes: list[int]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The per-level pick counts of `composition`, padded to one count per
+    pool, after each count asked of an empty pool above level 0 has moved to
+    the nearest lower non-empty level (level 0 if none); and the (level,
+    count, target level) moves, from the top level down."""
+    if len(composition) > len(pool_sizes):
+        raise ValueError(
+            f"stage composition spans {len(composition)} levels but the "
+            f"curriculum has {len(pool_sizes)}"
+        )
+    counts = list(composition) + [0] * (len(pool_sizes) - len(composition))
+    moves = []
+    for level in range(len(counts) - 1, 0, -1):
+        if counts[level] and not pool_sizes[level]:
+            target = level - 1
+            while target > 0 and not pool_sizes[target]:
+                target -= 1
+            moves.append((level, counts[level], target))
+            counts[target] += counts[level]
+            counts[level] = 0
+    return counts, moves
+
+
 class CurriculumSampler:
     """Draws stage batches from a curriculum bound to a FeatureSet.
 
@@ -217,7 +242,6 @@ class CurriculumSampler:
         fs: FeatureSet,
         include: np.ndarray | None = None,
     ):
-        self.fs = fs
         self.levels = cd.levels_for(fs)
         self.n_levels = cd.n_subsets
         if include is None:
@@ -236,40 +260,21 @@ class CurriculumSampler:
         self.clean_size = np.bincount(clean_labels, minlength=fs.n_categories)
         self.clean_start = np.cumsum(self.clean_size) - self.clean_size
         self.categories_with_clean = np.flatnonzero(self.clean_size)
+        self._pool_sizes = [pool.size for pool in self.by_level]
         self._warned: set[tuple[int, int]] = set()
         self._stage_draws: dict[StageSpec, tuple[list, np.ndarray]] = {}
 
-    def _effective_composition(self, stage: StageSpec) -> list[int]:
-        counts = list(stage.batch_composition)
-        if len(counts) > self.n_levels:
-            raise ValueError(
-                f"stage composition spans {len(counts)} levels but the "
-                f"curriculum has {self.n_levels}"
-            )
-        counts += [0] * (self.n_levels - len(counts))
-        for level in range(len(counts) - 1, 0, -1):
-            if counts[level] and not self.by_level[level].size:
-                target = level - 1
-                while target > 0 and not self.by_level[target].size:
-                    target -= 1
-                if (stage.stage_index, level) not in self._warned:
-                    logger.warning(
-                        "stage %d: level %d subset is empty; moving %d picks to level %d",
-                        stage.stage_index, level, counts[level], target,
-                    )
-                    self._warned.add((stage.stage_index, level))
-                counts[target] += counts[level]
-                counts[level] = 0
-        if counts[0] and not self.by_level[0].size:
-            raise ValueError("level 0 subset is empty; cannot build a batch")
-        return counts
+    def stage_pool(self, stage: StageSpec) -> np.ndarray:
+        """The included samples at or below `stage`'s level, in row order:
+        what an unrestricted stage draws from, and what the stage's training
+        loss is taken over."""
+        return np.flatnonzero((self.levels <= stage.stage_index) & self.include)
 
     def moves_picks(self, stage: StageSpec) -> bool:
         """Whether `stage` asks for picks from an empty level above level 0,
         which its batches then move to a lower level (and log once)."""
-        counts = stage.batch_composition or ()
-        return any(count and not pool.size
-                   for count, pool in zip(counts[1:], self.by_level[1:]))
+        return stage.batch_composition is not None and bool(
+            _move_picks(stage.batch_composition, self._pool_sizes)[1])
 
     def _draws(self, stage: StageSpec) -> tuple[list, np.ndarray]:
         """The (pool, count) draws of one batch of `stage`, in draw order,
@@ -278,12 +283,21 @@ class CurriculumSampler:
         plan = self._stage_draws.get(stage)
         if plan is None:
             if stage.batch_composition is None:
-                pool = np.flatnonzero((self.levels <= stage.stage_index) & self.include)
+                pool = self.stage_pool(stage)
                 if not pool.size:
                     raise ValueError("no samples available for an unrestricted stage")
                 draws = [(pool, stage.batch_size)]
             else:
-                counts = self._effective_composition(stage)
+                counts, moves = _move_picks(stage.batch_composition, self._pool_sizes)
+                for level, count, target in moves:
+                    if (stage.stage_index, level) not in self._warned:
+                        logger.warning(
+                            "stage %d: level %d subset is empty; moving %d picks to level %d",
+                            stage.stage_index, level, count, target,
+                        )
+                        self._warned.add((stage.stage_index, level))
+                if counts[0] and not self.by_level[0].size:
+                    raise ValueError("level 0 subset is empty; cannot build a batch")
                 draws = [(None if level == 0 else self.by_level[level], count)
                          for level, count in enumerate(counts) if count]
             plan = draws, np.asarray(stage.loss_weights, dtype=np.float64)

@@ -264,21 +264,15 @@ def evaluate(
     return errors + (acc1, acck)
 
 
-def _stage_pool_loss(
-    model: ClassifierModel,
-    train_z: np.ndarray,
-    labels: np.ndarray,
-    levels: np.ndarray,
-    include: np.ndarray,
-    stage: StageSpec,
-) -> float:
+def _stage_pool_loss(model: ClassifierModel, train_z: np.ndarray, labels: np.ndarray,
+                     sampler: CurriculumSampler, stage: StageSpec) -> float:
     """Mean weighted loss over the stage's pool; `train_z` is the
     standardized training matrix."""
-    pool = np.flatnonzero((levels <= stage.stage_index) & include)
+    pool = sampler.stage_pool(stage)
     if not pool.size:
         return math.nan
     logits = model.logits(train_z[pool])
-    return weighted_ce_loss(logits, labels[pool], stage.sample_weights(levels[pool]))[0]
+    return weighted_ce_loss(logits, labels[pool], stage.sample_weights(sampler.levels[pool]))[0]
 
 
 @dataclass
@@ -369,9 +363,7 @@ def train(
             EvalPoint(
                 iteration=iteration,
                 stage=stage.stage_index,
-                train_loss=_stage_pool_loss(
-                    model, train_z, train_y, sampler.levels, sampler.include, stage
-                ),
+                train_loss=_stage_pool_loss(model, train_z, train_y, sampler, stage),
                 test_top1=top1,
                 test_topk=topk_err,
             )

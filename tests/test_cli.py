@@ -176,6 +176,19 @@ class TestTrain:
         assert "Traceback" not in r.stderr
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("flag, entries, message", [
+        ("--strategies", "D,D,A", "strategy 'ModelD' is listed twice"),
+        ("--strategies", "D,ModelD", "strategy 'ModelD' is listed twice"),
+        ("--seeds", "0,0", "seed 0 is listed twice"),
+    ], ids=["strategies", "alias", "seeds"])
+    def test_repeated_entry_exit_1(self, workspace, flag, entries, message):
+        r = run_cli(TRAIN + [flag, entries, "--out-dir", "out"], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert f"currikit: error: {message}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+        assert not (workspace / "out").exists()
+
     def test_worker_error_exit_1(self, workspace, monkeypatch, capfd):
         # capfd also captures what the forked workers write to stderr.
         def failing_train(tag, *args, **kwargs):

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -358,6 +359,46 @@ class TestTruthIO:
         path = tmp_path / "t.csv"
         path.write_text("id,true_label,noise_kind\na,0,clean\n")
         assert load_reference_labels(path) == {"a": 0}
+
+
+# reader: (load, header, data row, row one cell short,
+#          message for an empty file, for the header "id,x,y")
+CSV_READERS = {
+    "features": (lambda path: load_features(path, "csv"), "id,label,f0", "a,0,1.0", "b,0",
+                 "empty csv file", "bad csv header ['id', 'x', 'y']"),
+    "truth": (load_truth, "id,true_label,noise_kind", "a,0,clean", "b,0",
+              "bad truth header None", "bad truth header ['id', 'x', 'y']"),
+    "reference": (load_reference_labels, "id,predicted_label", "a,0", "b",
+                  "unrecognized reference header None",
+                  "unrecognized reference header ['id', 'x', 'y']"),
+}
+
+
+@pytest.mark.parametrize("case", ["empty", "wrong-header", "short-row", "blank-then-short-row",
+                                  "over-field-limit"])
+@pytest.mark.parametrize("reader", list(CSV_READERS))
+def test_csv_reader_errors(tmp_path, reader, case):
+    """The three csv readers check the header, blank rows and cell counts
+    alike; rows are numbered from 0 after the header, blank rows included."""
+    load, header, row, short, empty_message, header_message = CSV_READERS[reader]
+    width = header.count(",") + 1
+    long_id = "x" * (csv.field_size_limit() + 1)
+    path = tmp_path / "in.csv"
+    text, message = {
+        "empty": ("", empty_message),
+        "wrong-header": (f"id,x,y\n{row}\n", header_message),
+        "short-row": (f"{header}\n{row}\n{short}\n",
+                      f"row 1 has {width - 1} cells, expected {width}"),
+        "blank-then-short-row": (f"{header}\n{row}\n\n{short}\n",
+                                 f"row 2 has {width - 1} cells, expected {width}"),
+        "over-field-limit": (f"{header}\n{row}\n{long_id}{row[1:]}\n",
+                             f"{path}: row 1: field larger than field limit "
+                             f"({csv.field_size_limit()})"),
+    }[case]
+    path.write_text(text)
+    with pytest.raises(DatasetError) as caught:
+        load(path)
+    assert str(caught.value) == message
 
 
 BASE = dict(n_categories=10, per_category=200, n_features=8,

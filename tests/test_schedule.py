@@ -320,3 +320,30 @@ class TestSamplerProperties:
                 clean = labels[batch.indices[batch.levels == 0]]
                 if expected[0] <= clean_categories:
                     assert len(set(clean.tolist())) == clean.size
+
+
+class TestPickMoveRule:
+    """`moves_picks` and the batches read one rule: a stage moves picks
+    exactly when its batches' level counts differ from its composition."""
+
+    @pytest.mark.parametrize("counts, include_level2", [
+        ((6, 0, 3), True), ((6, 3, 0), True), ((6, 0, 0), True), ((6, 3, 3), False),
+    ], ids=["level1-empty", "level2-empty", "both-empty", "include-empties-level2"])
+    def test_moves_picks_iff_counts_differ(self, counts, include_level2):
+        fs, cd = planted_sampler(n_categories=4, per_category=sum(counts), counts=counts)
+        include = cd.levels < (3 if include_level2 else 2)
+        sampler = CurriculumSampler(cd, fs, include)
+        rng = np.random.default_rng(0)
+        moved = []
+        for n in (1, 2, 3):
+            for stage in default_schedule(16, 0.001, n):
+                padded = stage.batch_composition + (0,) * (3 - len(stage.batch_composition))
+                differs = sampler.next_batch(stage, rng).level_counts(3) != padded
+                assert sampler.moves_picks(stage) == differs, (n, stage.stage_index)
+                moved.append(differs)
+        assert any(moved)
+        plain = plain_schedule(16, 0.001)[0]
+        assert not sampler.moves_picks(plain)
+        batch = sampler.next_batch(plain, rng)
+        assert np.isin(batch.indices, sampler.stage_pool(plain)).all()
+        assert include[batch.indices].all()
