@@ -89,6 +89,13 @@ class CurriculumDesign:
         dc = np.asarray(self.d_c, dtype=np.float64)
         dc.setflags(write=False)
         object.__setattr__(self, "d_c", dc)
+        for name, ids in (("categories", "sample_ids"), ("levels", "sample_ids"),
+                          ("dist_to_center", "sample_ids"), ("d_c", "center_ids")):
+            shape, n = getattr(self, name).shape, len(getattr(self, ids))
+            if shape != (n,):
+                raise CurriculumError(
+                    f"{name} has shape {shape}; expected one value per entry of {ids} ({n})"
+                )
 
     @property
     def n_samples(self) -> int:

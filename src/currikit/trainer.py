@@ -31,11 +31,31 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite during training."""
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; rows sum to 1."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_(z: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax of float logits `z`, written over `z`."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _weighted_ce_(
+    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray, grad: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """:func:`weighted_ce_loss` written over `logits`, a float64 array the
+    caller owns: they become the probabilities and then, if `grad`, the
+    gradient. Without `grad` the gradient is None."""
+    b = logits.shape[0]
+    rows = np.arange(b)
+    probs = _softmax_(logits)
+    picked = probs[rows, labels]
+    loss = float((-weights * np.log(np.maximum(picked, LOG_EPS))).sum() / b)
+    if not grad:
+        return loss, None
+    probs *= weights[:, None]
+    probs[rows, labels] -= weights
+    probs /= b
+    return loss, probs
 
 
 def weighted_ce_loss(
@@ -48,13 +68,36 @@ def weighted_ce_loss(
     with each probability clamped at 1e-12; the gradient of row i is
     weights[i] * (p_i - onehot(labels[i])) / b, exactly linear in the weight.
     """
-    b = logits.shape[0]
-    probs = softmax(logits)
-    picked = probs[np.arange(b), labels]
-    loss = float((-weights * np.log(np.maximum(picked, LOG_EPS))).sum() / b)
-    grad = probs * weights[:, None]
-    grad[np.arange(b), labels] -= weights
-    return loss, grad / b
+    return _weighted_ce_(np.array(logits, dtype=np.float64), labels, weights)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b in one new array."""
+    out = x @ w
+    out += b
+    return out
+
+
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive views into `flat`, in name order, shaped like the arrays
+    of `like` under the same names."""
+    views, start = {}, 0
+    for name in sorted(like):
+        shape = np.shape(like[name])
+        size = math.prod(shape)
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """Copy `arrays` into one new float64 vector, in name order, and replace
+    each entry by its same-shaped view into it. Pickling and deep copies
+    turn the views back into separate arrays."""
+    flat = np.concatenate([np.ravel(arrays[name]) for name in sorted(arrays)],
+                          dtype=np.float64)
+    arrays.update(_views(flat, arrays))
+    return flat
 
 
 @dataclass
@@ -118,42 +161,65 @@ class ClassifierModel:
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
         """Raw feature rows in the model's input space, as float64."""
-        return (np.asarray(x, dtype=np.float64) - self.input_mean) / self.input_std
+        z = np.asarray(x, dtype=np.float64) - self.input_mean
+        z /= self.input_std
+        return z
 
     def logits(self, z: np.ndarray) -> np.ndarray:
         """Logits of rows already in the model's input space."""
+        p = self.params
         if self.arch == "linear":
-            return z @ self.params["W"] + self.params["b"]
-        hidden = np.maximum(z @ self.params["W1"] + self.params["b1"], 0.0)
-        return hidden @ self.params["W2"] + self.params["b2"]
+            return _affine(z, p["W"], p["b"])
+        hidden = _affine(z, p["W1"], p["b1"])
+        return _affine(np.maximum(hidden, 0.0, out=hidden), p["W2"], p["b2"])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of raw feature rows, rows summing to 1."""
-        return softmax(self.logits(self.standardize(x)))
+        return _softmax_(self.logits(self.standardize(x)))
 
     def loss_and_grads(
-        self, z: np.ndarray, labels: np.ndarray, weights: np.ndarray
+        self, z: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+        out: dict[str, np.ndarray] | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean weighted cross-entropy and its parameter gradients.
 
         Like :meth:`logits`, it takes rows already in the model's input
         space, as :meth:`standardize` returns them; the trainer standardizes
-        its training matrix once per run and passes row slices of it.
+        its training matrix once per run and passes row slices of it. The
+        gradients are written into `out`, arrays shaped like the parameters
+        under the same names, or into new arrays.
         """
+        p = self.params
+        grads = {k: np.empty_like(v) for k, v in p.items()} if out is None else out
         if self.arch == "linear":
-            loss, g = weighted_ce_loss(self.logits(z), labels, weights)
-            return loss, {"W": z.T @ g, "b": g.sum(axis=0)}
-        pre = z @ self.params["W1"] + self.params["b1"]
-        hidden = np.maximum(pre, 0.0)
-        logits = hidden @ self.params["W2"] + self.params["b2"]
-        loss, g = weighted_ce_loss(logits, labels, weights)
-        g_hidden = (g @ self.params["W2"].T) * (pre > 0.0)
-        return loss, {
-            "W1": z.T @ g_hidden,
-            "b1": g_hidden.sum(axis=0),
-            "W2": hidden.T @ g,
-            "b2": g.sum(axis=0),
-        }
+            loss, g = _weighted_ce_(self.logits(z), labels, weights)
+            np.matmul(z.T, g, out=grads["W"])
+            g.sum(axis=0, out=grads["b"])
+            return loss, grads
+        hidden = _affine(z, p["W1"], p["b1"])
+        active = hidden > 0.0
+        np.maximum(hidden, 0.0, out=hidden)
+        loss, g = _weighted_ce_(_affine(hidden, p["W2"], p["b2"]), labels, weights)
+        g_hidden = g @ p["W2"].T
+        g_hidden *= active
+        np.matmul(z.T, g_hidden, out=grads["W1"])
+        g_hidden.sum(axis=0, out=grads["b1"])
+        np.matmul(hidden.T, g, out=grads["W2"])
+        g.sum(axis=0, out=grads["b2"])
+        return loss, grads
+
+
+def _momentum_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
+                   scratch: np.ndarray, lr: float) -> None:
+    """One SGD step in place on flat vectors: per element,
+    v = MOMENTUM * v - lr * (g + WEIGHT_DECAY * p), then p += v. `grad` and
+    `scratch` are overwritten."""
+    np.multiply(params, WEIGHT_DECAY, out=scratch)
+    grad += scratch
+    grad *= lr
+    velocity *= MOMENTUM
+    velocity -= grad
+    params += velocity
 
 
 @dataclass(frozen=True)
@@ -245,8 +311,7 @@ def evaluate(
         raise ValueError(f"topk must be at least 1, got {topk}")
     if topk > model.n_classes:
         raise ValueError("topk exceeds the number of classes")
-    probs = model.forward(fs_test.features.astype(np.float64))
-    ranked = top_k_predictions(probs, topk)
+    ranked = top_k_predictions(model.forward(fs_test.features), topk)
     labels = fs_test.labels
     miss1 = ranked[:, 0] != labels
     missk = (ranked != labels[:, None]).all(axis=1)
@@ -264,15 +329,14 @@ def evaluate(
     return errors + (acc1, acck)
 
 
-def _stage_pool_loss(model: ClassifierModel, train_z: np.ndarray, labels: np.ndarray,
-                     sampler: CurriculumSampler, stage: StageSpec) -> float:
-    """Mean weighted loss over the stage's pool; `train_z` is the
-    standardized training matrix."""
-    pool = sampler.stage_pool(stage)
+def _stage_pool_loss(model: ClassifierModel, train_z: np.ndarray, pool: np.ndarray,
+                     labels: np.ndarray, weights: np.ndarray) -> float:
+    """Mean weighted loss over the rows `pool` of the standardized training
+    matrix `train_z`, with those rows' labels and loss weights; nan for an
+    empty pool."""
     if not pool.size:
         return math.nan
-    logits = model.logits(train_z[pool])
-    return weighted_ce_loss(logits, labels[pool], stage.sample_weights(sampler.levels[pool]))[0]
+    return _weighted_ce_(model.logits(train_z[pool]), labels, weights, grad=False)[0]
 
 
 @dataclass
@@ -334,13 +398,16 @@ def train(
     (from :meth:`TrainState.start` or an earlier call), the run goes on from
     that state's iteration, advancing the state in place, and stops after
     iteration `stop` (default: the end); `arch` and `hidden_dim` then come
-    from the state's model. The metrics hold every eval point since
+    from the state's model. Each call repacks the arrays of
+    ``state.model.params`` and ``state.velocity`` into new ones (views into
+    one vector each), so an array taken from those dicts before the call no
+    longer follows the run. The metrics hold every eval point since
     iteration 0; their final errors stay nan until the run reaches its end.
     """
     sampler = CurriculumSampler(cd, fs_train, include_mask)
     if state is None:
         state = TrainState.start(fs_train, seed, arch, hidden_dim)
-    model, velocity, rng = state.model, state.velocity, state.rng
+    model, rng = state.model, state.rng
     total = sum(s.iterations for s in schedule)
     stop = total if stop is None else stop
     if not state.iteration <= stop <= total:
@@ -352,18 +419,28 @@ def train(
     n_levels = sampler.n_levels
     train_z = model.standardize(fs_train.features)
     train_y = fs_train.labels
-    param_names = sorted(model.params)
+    # The parameters, their momentum buffers and gradients, each as one
+    # vector under its dict of views, so an update is a few whole-vector
+    # operations; repacked on every call, since a state that was pickled or
+    # deep-copied holds separate arrays again.
+    params = _flatten(model.params)
+    velocity = _flatten(state.velocity)
+    grad = np.empty_like(params)
+    grads = _views(grad, model.params)
+    scratch = np.empty_like(params)
 
     def record(iteration: int, stage: StageSpec) -> None:
         final = iteration == total
         top1, topk_err, *by_category = evaluate(model, fs_test, topk, by_category=final)
         if final:
             metrics.per_category_top1, metrics.per_category_topk = by_category
+        pool = sampler.stage_pool(stage)
         state.points.append(
             EvalPoint(
                 iteration=iteration,
                 stage=stage.stage_index,
-                train_loss=_stage_pool_loss(model, train_z, train_y, sampler, stage),
+                train_loss=_stage_pool_loss(model, train_z, pool, train_y[pool],
+                                            stage.sample_weights(sampler.levels[pool])),
                 test_top1=top1,
                 test_topk=topk_err,
             )
@@ -383,20 +460,15 @@ def train(
                     (iteration, stage.stage_index, batch.level_counts(n_levels),
                      stage.loss_weights)
                 )
-            loss, grads = model.loss_and_grads(
-                train_z[batch.indices], train_y[batch.indices], batch.weights
+            loss, _ = model.loss_and_grads(
+                train_z[batch.indices], train_y[batch.indices], batch.weights, out=grads
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"{strategy_tag} seed {seed}: non-finite loss at iteration "
                     f"{iteration} (stage {stage.stage_index}, lr {lr})"
                 )
-            for name in param_names:
-                g = grads[name] + WEIGHT_DECAY * model.params[name]
-                v = velocity[name]
-                v *= MOMENTUM
-                v -= lr * g
-                model.params[name] += v
+            _momentum_step(params, velocity, grad, scratch, lr)
             iteration += 1
             if iteration % eval_every == 0 or iteration == total:
                 record(iteration, stage)

@@ -170,3 +170,64 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+# The trainer's kernels as plain allocating numpy expressions; the library
+# computes the same operations in place and must give the same bits.
+
+def alloc_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def alloc_weighted_ce_loss(
+    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    b = logits.shape[0]
+    probs = alloc_softmax(logits)
+    picked = probs[np.arange(b), labels]
+    loss = float((-weights * np.log(np.maximum(picked, 1e-12))).sum() / b)
+    grad = probs * weights[:, None]
+    grad[np.arange(b), labels] -= weights
+    return loss, grad / b
+
+
+def alloc_logits(arch: str, params: dict, z: np.ndarray) -> np.ndarray:
+    if arch == "linear":
+        return z @ params["W"] + params["b"]
+    hidden = np.maximum(z @ params["W1"] + params["b1"], 0.0)
+    return hidden @ params["W2"] + params["b2"]
+
+
+def alloc_loss_and_grads(
+    arch: str, params: dict, z: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[float, dict]:
+    if arch == "linear":
+        loss, g = alloc_weighted_ce_loss(alloc_logits(arch, params, z), labels, weights)
+        return loss, {"W": z.T @ g, "b": g.sum(axis=0)}
+    pre = z @ params["W1"] + params["b1"]
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ params["W2"] + params["b2"]
+    loss, g = alloc_weighted_ce_loss(logits, labels, weights)
+    g_hidden = (g @ params["W2"].T) * (pre > 0.0)
+    return loss, {
+        "W1": z.T @ g_hidden,
+        "b1": g_hidden.sum(axis=0),
+        "W2": hidden.T @ g,
+        "b2": g.sum(axis=0),
+    }
+
+
+def alloc_momentum_step(
+    params: dict, velocity: dict, grads: dict, lr: float,
+    momentum: float = 0.9, weight_decay: float = 1e-4,
+) -> None:
+    """One SGD step with momentum and weight decay, name by name, in place
+    on `params` and `velocity`."""
+    for name in sorted(params):
+        g = grads[name] + weight_decay * params[name]
+        v = velocity[name]
+        v *= momentum
+        v -= lr * g
+        params[name] += v

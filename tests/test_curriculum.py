@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +250,18 @@ class TestSerialization:
         )
         with pytest.raises(CurriculumError, match="stranger"):
             cd.levels_for(other)
+
+    @pytest.mark.parametrize("name, cut", [
+        ("categories", 1), ("levels", 12), ("dist_to_center", 19), ("d_c", 1),
+    ])
+    def test_misaligned_arrays_rejected(self, name, cut):
+        # 2 categories of 10 samples; `cut` values dropped from one array.
+        fs, _ = generate_synthetic(SynthConfig(2, 10, 3, 0.6, 0.25, 0.15, seed=2))
+        cd = design_curriculum(fs, CurriculumParams())
+        with pytest.raises(CurriculumError, match=f"^{name} has shape"):
+            replace(cd, **{name: getattr(cd, name)[cut:]})
+        with pytest.raises(CurriculumError, match="expected one value per entry of sample_ids"):
+            replace(cd, sample_ids=cd.sample_ids[:-1])
 
     def test_restrict_drops_samples(self):
         fs, _ = generate_synthetic(SynthConfig(2, 10, 3, 0.6, 0.25, 0.15, seed=2))

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,17 +15,29 @@ from currikit.data import NOISE_CLEAN, SynthConfig, generate_synthetic
 from currikit.fileio import atomic_write_text
 from currikit.schedule import StageSpec, default_schedule, plain_schedule
 from currikit.trainer import (
+    ARCHITECTURES,
     ClassifierModel,
     EvalPoint,
     RunMetrics,
+    TrainState,
     TrainingDiverged,
+    _flatten,
+    _momentum_step,
+    _stage_pool_loss,
     evaluate,
     holdout_split,
     top_k_predictions,
     train,
     weighted_ce_loss,
 )
-from oracles import finite_diff_grad, relative_error
+from oracles import (
+    alloc_logits,
+    alloc_loss_and_grads,
+    alloc_momentum_step,
+    alloc_weighted_ce_loss,
+    finite_diff_grad,
+    relative_error,
+)
 
 
 def single_ce(logits, label, weight):
@@ -104,6 +119,110 @@ class TestModelGradients:
         probs = model.forward(rng.standard_normal((10, 6)))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert (probs >= 0).all()
+
+
+def bits(x):
+    """The IEEE bit patterns of a float64 value or array."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model, standardized rows, labels and mixed loss weights. `scale`
+    multiplies the parameters (up to logits in the thousands); with `ties`,
+    rows repeat and classes 0 and 1 get equal logits."""
+    arch = draw(st.sampled_from(ARCHITECTURES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, c, b = draw(st.integers(1, 9)), draw(st.integers(2, 9)), draw(st.integers(1, 40))
+    model = ClassifierModel.initialize(arch, d, c, rng, hidden_dim=draw(st.integers(1, 12)))
+    scale = draw(st.sampled_from([1.0, 30.0, 1e3]))
+    for name, value in model.params.items():
+        value *= scale
+        if name.startswith("b"):
+            value += scale * rng.standard_normal(value.shape)
+    z = rng.standard_normal((b, d))
+    if draw(st.booleans()):
+        z[b // 2:] = z[: b - b // 2]
+        out_w, out_b = ("W", "b") if arch == "linear" else ("W2", "b2")
+        model.params[out_w][:, 1] = model.params[out_w][:, 0]
+        model.params[out_b][1] = model.params[out_b][0]
+    labels = rng.integers(0, c, b)
+    weights = np.array([0.0, 0.5, 1.0, rng.uniform(0.1, 2.0)])[rng.integers(0, 4, b)]
+    return model, z, labels, weights
+
+
+class TestInPlaceKernels:
+    """The trainer's in-place kernels give the bits of the allocating
+    expressions in the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_logits_loss_and_grads(self, case):
+        model, z, labels, weights = case
+        params = {k: v.copy() for k, v in model.params.items()}
+        assert np.array_equal(bits(model.logits(z)), bits(alloc_logits(model.arch, params, z)))
+        loss, grads = alloc_loss_and_grads(model.arch, params, z, labels, weights)
+        out = dict(model.params)
+        _flatten(out)
+        for got_loss, got in (model.loss_and_grads(z, labels, weights),
+                              model.loss_and_grads(z, labels, weights, out=out)):
+            assert bits(got_loss) == bits(loss)
+            assert sorted(got) == sorted(grads)
+            for name in grads:
+                assert np.array_equal(bits(got[name]), bits(grads[name])), name
+        logits = alloc_logits(model.arch, params, z)
+        expected_loss, expected_grad = alloc_weighted_ce_loss(logits, labels, weights)
+        got_loss, got_grad = weighted_ce_loss(logits, labels, weights)
+        assert bits(got_loss) == bits(expected_loss)
+        assert np.array_equal(bits(got_grad), bits(expected_grad))
+        # weighted_ce_loss leaves its input alone.
+        assert np.array_equal(bits(logits), bits(alloc_logits(model.arch, params, z)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(), st.lists(st.sampled_from([0.1, 0.01, 1e-5, 3.0]), min_size=1,
+                                    max_size=4))
+    def test_momentum_steps(self, case, rates):
+        model, z, labels, weights = case
+        rng = np.random.default_rng(len(rates))
+        params = {k: v.copy() for k, v in model.params.items()}
+        velocity = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        flat_params = dict(params)
+        flat_velocity = dict(velocity)
+        p, v = _flatten(flat_params), _flatten(flat_velocity)
+        grads = dict(params)
+        g = _flatten(grads)
+        for lr in rates:
+            model.params = params
+            _, expected = model.loss_and_grads(z, labels, weights)
+            alloc_momentum_step(params, velocity, expected, lr)
+            model.params = flat_params
+            model.loss_and_grads(z, labels, weights, out=grads)
+            _momentum_step(p, v, g, np.empty_like(p), lr)
+            for name in params:
+                assert np.array_equal(bits(flat_params[name]), bits(params[name])), name
+                assert np.array_equal(bits(flat_velocity[name]), bits(velocity[name])), name
+
+    def test_stage_pool_loss_peak_memory(self):
+        # A stage pool of 4800 rows of 64 features through a 128-unit MLP
+        # with 10 classes: the loss may hold the gathered rows, one hidden
+        # matrix and two logit matrices at once, and nothing else of size.
+        n, d, hidden, c = 4800, 64, 128, 10
+        rng = np.random.default_rng(0)
+        model = ClassifierModel.initialize("mlp", d, c, rng, hidden_dim=hidden)
+        train_z = rng.standard_normal((6000, d))
+        pool = np.sort(rng.choice(6000, n, replace=False))
+        labels = rng.integers(0, c, n)
+        weights = np.array([1.0, 0.5, 0.5])[rng.integers(0, 3, n)]
+        expected = alloc_weighted_ce_loss(
+            alloc_logits("mlp", model.params, train_z[pool]), labels, weights)[0]
+        tracemalloc.start()
+        try:
+            loss = _stage_pool_loss(model, train_z, pool, labels, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits(loss) == bits(expected)
+        assert peak <= 8 * n * (d + hidden + 2 * c), peak
 
 
 class TestEvaluate:
@@ -241,6 +360,29 @@ class TestTrain:
         first_decay = 300
         tail = [p.train_loss for p in metrics.points if p.iteration >= first_decay]
         assert all(a >= b - 1e-9 for a, b in zip(tail, tail[1:]))
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("carry", ["same", "pickle", "deepcopy"])
+    def test_resume_from_carried_state(self, arch, carry):
+        # Stopped inside stage 0, at the stage 0/1 boundary and inside
+        # stage 2, each state carried on as the fork pool (pickle) or the
+        # serial grid (deepcopy) does: the same metrics and parameter bits as
+        # one uninterrupted run.
+        tr, _, te = planted_split()
+        cd = design_curriculum(tr, CurriculumParams(seed=2))
+        schedule = default_schedule(16, 0.0005)
+        options = dict(arch=arch, hidden_dim=8, eval_every=40)
+        whole_model, whole = train("ModelD", tr, te, cd, schedule, 4, **options)
+        carried = {"same": lambda s: s, "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+                   "deepcopy": copy.deepcopy}[carry]
+        state = TrainState.start(tr, 4, arch, hidden_dim=8)
+        for stop in (37, 150, 301, None):
+            model, metrics = train("ModelD", tr, te, cd, schedule, 4, state=state, stop=stop,
+                                   **options)
+            state = carried(state)
+        assert metrics.to_dict() == whole.to_dict()
+        for name in whole_model.params:
+            assert np.array_equal(bits(model.params[name]), bits(whole_model.params[name]))
 
     def test_metrics_round_trip(self):
         tr, _, te = planted_split()
