@@ -44,7 +44,7 @@ from .data import (
 )
 from .experiments import STRATEGY_TAGS, run_grid, summarize
 from .fileio import atomic_write_text
-from .trainer import RunMetrics, holdout_split
+from .trainer import ARCHITECTURES, RunMetrics, holdout_split
 
 OUT_DIR_ENV = "CURRIKIT_OUT"
 
@@ -212,8 +212,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 f"has {feature_id!r}; truth rows must list the feature ids in order"
             )
     seeds = _seed_list(args.seeds)
-    if not seeds:
-        raise ValueError("at least one seed is required")
     fs_train, _, fs_test = holdout_split(fs, truth, args.test_frac, args.split_seed)
     params = CurriculumParams(
         k_percent=float(args.k_percent),
@@ -225,8 +223,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         fractions = [f / 100.0 for f in _float_list(args.noisy_fraction)]
     else:
         tags = [t.strip() for t in args.strategies.split(",") if t.strip()]
-        alias = {"A": "ModelA", "B": "ModelB", "C": "ModelC", "D": "ModelD",
-                 "D_kmeans": "ModelD_kmeans"}
+        alias = {t.removeprefix("Model"): t for t in STRATEGY_TAGS}
         tags = [alias.get(t, t) for t in tags]
         bad = [t for t in tags if t not in STRATEGY_TAGS]
         if bad:
@@ -394,7 +391,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         "highly-noisy-fraction sweep instead of --strategies")
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--scale", type=float, default=0.001)
-    p.add_argument("--arch", choices=("linear", "mlp"), default="linear")
+    p.add_argument("--arch", choices=ARCHITECTURES, default="linear")
     p.add_argument("--hidden-dim", type=int, default=32)
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--test-frac", type=float, default=0.2)

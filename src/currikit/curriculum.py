@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import FeatureSet, _frozen
 from .density import density_profile
 from .fileio import atomic_write_text
 from .seeding import component_rng
@@ -79,16 +79,9 @@ class CurriculumDesign:
     d_c: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("categories", np.int64), ("levels", np.int64)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        dist = np.asarray(self.dist_to_center, dtype=np.float64)
-        dist.setflags(write=False)
-        object.__setattr__(self, "dist_to_center", dist)
-        dc = np.asarray(self.d_c, dtype=np.float64)
-        dc.setflags(write=False)
-        object.__setattr__(self, "d_c", dc)
+        for name, dtype in (("categories", np.int64), ("levels", np.int64),
+                            ("dist_to_center", np.float64), ("d_c", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         for name, ids in (("categories", "sample_ids"), ("levels", "sample_ids"),
                           ("dist_to_center", "sample_ids"), ("d_c", "center_ids")):
             shape, n = getattr(self, name).shape, len(getattr(self, ids))
@@ -179,6 +172,14 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, nearest, max_iters: int):
     return centroids, nearest(points, centroids)
 
 
+def _rank_by(keys: np.ndarray) -> np.ndarray:
+    """The rank of each entry of `keys` in a stable ascending sort: cluster
+    i's level when clusters are relabeled by `keys`, ties in cluster order."""
+    rank = np.empty(keys.size, dtype=np.int64)
+    rank[np.argsort(keys, kind="stable")] = np.arange(keys.size)
+    return rank
+
+
 def _nearest_1d(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # Ties go to the lower cluster index (argmin picks the first minimum).
     return np.abs(values[:, None] - centroids[None, :]).argmin(axis=1)
@@ -215,10 +216,7 @@ def partition_category(
     centroids = np.quantile(values, np.linspace(0.0, 1.0, n_subsets))
     centroids, assign = _lloyd(values, centroids, _nearest_1d, max_iters)
 
-    order = np.argsort(centroids, kind="stable")
-    rank = np.empty(n_subsets, dtype=np.int64)
-    rank[order] = np.arange(n_subsets)
-    return rank[assign]
+    return _rank_by(centroids)[assign]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def _design(fs: FeatureSet, params: CurriculumParams, category_rule) -> Curricul
     return CurriculumDesign(
         params=params,
         sample_ids=fs.sample_ids,
-        categories=fs.labels.copy(),
+        categories=fs.labels,
         levels=levels,
         dist_to_center=dist,
         center_ids=tuple(center_ids),
@@ -307,11 +305,7 @@ def _kmeans_rule(c: int, feats: np.ndarray, params: CurriculumParams):
         rng = component_rng(params.seed, "kmeans-init", c)
         assign = _kmeans_features(feats, params.n_subsets, rng, params.kmeans_max_iters)
         k = params.n_subsets
-    sizes = np.bincount(assign, minlength=k)
-    order = np.argsort(-sizes, kind="stable")
-    rank = np.empty(k, dtype=np.int64)
-    rank[order] = np.arange(k)
-    levels = rank[assign]
+    levels = _rank_by(-np.bincount(assign, minlength=k))[assign]
     centroid = feats[levels == 0].mean(axis=0)
     center = int(np.argmin(((feats - centroid) ** 2).sum(axis=1)))
     return levels, ((feats - feats[center]) ** 2).sum(axis=1), center, 0.0

@@ -18,6 +18,7 @@ Ground truth for synthetic data is a CSV ``id,true_label,noise_kind``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import struct
@@ -56,11 +57,30 @@ class DatasetError(ValueError):
     """Malformed dataset file or invalid in-memory dataset."""
 
 
-def _label_cell(text: str, row: int, where: str = "") -> int:
+def _label_cell(text: str, row: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise DatasetError(f"{where}row {row}: label {text!r} is not an integer") from None
+        raise DatasetError(f"row {row}: label {text!r} is not an integer") from None
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """`values` as a read-only `dtype` array, copied unless it owns its data."""
+    arr = np.asarray(values, dtype=dtype)
+    arr = arr if arr.flags.owndata else arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _names_its_file(load):
+    """`load(path, ...)`, with every DatasetError it raises prefixed by the path."""
+    @functools.wraps(load)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from None
+    return wrapper
 
 
 def _format_f32(value: np.float32) -> str:
@@ -117,12 +137,8 @@ class FeatureSet:
                     f"duplicate sample id {sid!r} at rows {seen[sid]} and {i}"
                 )
             seen[sid] = i
-        features = features.copy() if not features.flags.owndata else features
-        labels = labels.copy() if not labels.flags.owndata else labels
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "features", _frozen(features, np.float32))
+        object.__setattr__(self, "labels", _frozen(labels, np.int64))
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "category_names", names)
 
@@ -149,14 +165,12 @@ class FeatureSet:
         return {sid: i for i, sid in enumerate(self.sample_ids)}
 
     def take(self, indices) -> "FeatureSet":
-        """Row subset in the given order; category names are kept in full."""
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            indices = np.flatnonzero(indices)
+        """Rows by number, in order, or by a full-length mask; all categories kept."""
+        rows = np.arange(self.n_samples)[indices]
         return FeatureSet(
-            features=self.features[indices],
-            labels=self.labels[indices],
-            sample_ids=tuple(self.sample_ids[i] for i in indices),
+            features=self.features[rows],
+            labels=self.labels[rows],
+            sample_ids=tuple(self.sample_ids[i] for i in rows),
             category_names=self.category_names,
         )
 
@@ -193,21 +207,17 @@ class SyntheticTruth:
         for i, k in enumerate(kinds):
             if k not in NOISE_KINDS:
                 raise DatasetError(f"unknown noise kind {k!r} at row {i}")
-        true_labels = true_labels.copy() if not true_labels.flags.owndata else true_labels
-        true_labels.setflags(write=False)
-        object.__setattr__(self, "true_labels", true_labels)
+        object.__setattr__(self, "true_labels", _frozen(true_labels, np.int64))
         object.__setattr__(self, "noise_kind", kinds)
 
     def __len__(self) -> int:
         return self.true_labels.shape[0]
 
     def take(self, indices) -> "SyntheticTruth":
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            indices = np.flatnonzero(indices)
+        rows = np.arange(len(self))[indices]
         return SyntheticTruth(
-            true_labels=self.true_labels[indices],
-            noise_kind=tuple(self.noise_kind[i] for i in indices),
+            true_labels=self.true_labels[rows],
+            noise_kind=tuple(self.noise_kind[i] for i in rows),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -342,14 +352,14 @@ def _features_to_csv(fs: FeatureSet) -> str:
 
 
 def _csv_rows(
-    lines: Iterable[str], path: str | Path, check_header: Callable[[list[str] | None], int]
+    lines: Iterable[str], check_header: Callable[[list[str] | None], int]
 ) -> Iterator[tuple[int, list[str]]]:
     """(row, cells) of every non-blank row of ``csv.reader(lines)`` after the
     header, rows numbered from 0 after the header, blank ones included.
     `check_header` gets the header (None for an empty file), raises if it is
     bad and returns the number of cells every row must have. A row the csv
     module rejects, such as one with a cell longer than
-    ``csv.field_size_limit()``, raises DatasetError naming `path` and the row."""
+    ``csv.field_size_limit()``, raises DatasetError naming the row."""
     reader = csv.reader(lines)
     row = -1
     while True:
@@ -357,7 +367,7 @@ def _csv_rows(
             cells = next(reader, None)
         except csv.Error as exc:
             where = "header" if row < 0 else f"row {row}"
-            raise DatasetError(f"{path}: {where}: {exc}") from None
+            raise DatasetError(f"{where}: {exc}") from None
         if row < 0:
             width = check_header(cells)
         elif cells is None:
@@ -370,7 +380,7 @@ def _csv_rows(
 
 
 def _features_from_csv(
-    lines: Iterable[str], path: str | Path, category_names: tuple[str, ...] | None = None
+    lines: Iterable[str], category_names: tuple[str, ...] | None = None
 ) -> FeatureSet:
     def check_header(header: list[str] | None) -> int:
         if header is None:
@@ -384,7 +394,7 @@ def _features_from_csv(
     ids: list[str] = []
     labels: list[int] = []
     rows: list[np.ndarray] = []
-    for i, row in _csv_rows(lines, path, check_header):
+    for i, row in _csv_rows(lines, check_header):
         ids.append(row[0])
         labels.append(_label_cell(row[1], i))
         try:
@@ -420,20 +430,22 @@ def save_features(fs: FeatureSet, path: str | Path, format: str) -> None:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
 
 
+@_names_its_file
 def load_features(
     path: str | Path, format: str, category_names: tuple[str, ...] | None = None
 ) -> FeatureSet:
     """Load and validate a feature file written by :func:`save_features`.
 
     `category_names` restores the names and count the csv format cannot
-    carry; it is ignored for binary files, which store them.
+    carry; it is ignored for binary files, which store them. Every
+    DatasetError of the three loaders starts with the file's path.
     """
     if format == "binary":
         return _features_from_binary(Path(path).read_bytes())
     if format == "csv":
         # The csv readers parse the open file, never a copy of its whole text.
         with open(path, encoding="utf-8") as fh:
-            return _features_from_csv(fh, path, category_names)
+            return _features_from_csv(fh, category_names)
     raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
 
 
@@ -451,6 +463,7 @@ def save_truth(fs: FeatureSet, truth: SyntheticTruth, path: str | Path) -> None:
     atomic_write_text(path, out.getvalue())
 
 
+@_names_its_file
 def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     """Returns (sample ids in file order, truth annotation)."""
     def check_header(header: list[str] | None) -> int:
@@ -462,15 +475,16 @@ def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     labels: list[int] = []
     kinds: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        for i, row in _csv_rows(fh, path, check_header):
+        for i, row in _csv_rows(fh, check_header):
             ids.append(row[0])
-            labels.append(_label_cell(row[1], i, f"{path}: "))
+            labels.append(_label_cell(row[1], i))
             kinds.append(row[2])
     return tuple(ids), SyntheticTruth(
         true_labels=np.array(labels, dtype=np.int64), noise_kind=tuple(kinds)
     )
 
 
+@_names_its_file
 def load_reference_labels(path: str | Path) -> dict[str, int]:
     """Reference labels keyed by sample id.
 
@@ -484,10 +498,10 @@ def load_reference_labels(path: str | Path) -> dict[str, int]:
 
     out: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for i, row in _csv_rows(fh, path, check_header):
+        for i, row in _csv_rows(fh, check_header):
             if row[0] in out:
                 raise DatasetError(f"duplicate id {row[0]!r} at row {i}")
-            out[row[0]] = _label_cell(row[1], i, f"{path}: ")
+            out[row[0]] = _label_cell(row[1], i)
     return out
 
 

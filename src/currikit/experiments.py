@@ -35,7 +35,7 @@ import numpy as np
 
 from .curriculum import CurriculumDesign, CurriculumParams, design
 from .data import FeatureSet
-from .schedule import CurriculumSampler, StageSpec, default_schedule, lr_at, plain_schedule
+from .schedule import CurriculumSampler, StageSpec, default_schedule, plain_schedule, spans
 from .seeding import component_rng
 from .trainer import RunMetrics, TrainState, train
 
@@ -113,8 +113,9 @@ def run_grid(
 ) -> Iterator[tuple[RunMetrics, list | None]]:
     """Train every strategy x seed, or with `fractions` every strategy x
     fraction x seed, and yield each run's (metrics, batch log or None) in
-    that order. Each curriculum is designed once. A strategy or seed listed
-    twice raises ValueError before anything is designed.
+    that order. Each curriculum is designed once. An empty strategy, seed
+    or fraction list, or a strategy or seed listed twice, raises ValueError
+    before anything is designed.
 
     A fraction run keeps only a seeded uniform share of the highly-noisy
     subset (:func:`restrict_highly_noisy`) and is tagged
@@ -140,6 +141,9 @@ def run_grid(
     as soon as its parent segment's end state is back. A run's outputs do
     not depend on the number of workers. Where the OpenBLAS thread-count
     call is not found, the runs train one after another in this process."""
+    for what, entries in (("strategy", tags), ("seed", seeds), ("fraction", fractions)):
+        if entries is not None and not entries:
+            raise ValueError(f"at least one {what} is required")
     for what, entries in (("strategy", tags), ("seed", seeds)):
         for i, entry in enumerate(entries):
             if entry in entries[:i]:
@@ -196,32 +200,18 @@ class _Segment:
     parent: int | None
 
 
-def _change_points(schedule: list[StageSpec]) -> list[tuple[int, StageSpec]]:
-    """(iteration, stage) wherever the stage or the learning rate may change."""
-    points = []
-    start = 0
-    for stage in schedule:
-        stop = start + stage.iterations
-        points += [(it, stage) for it in (start, *(it for it, _ in stage.lr_plan))
-                   if start <= it < stop]
-        start = stop
-    return points
-
-
-def _stage_at(points: list[tuple[int, StageSpec]], iteration: int) -> StageSpec:
-    return next(stage for start, stage in reversed(points) if start <= iteration)
-
-
 class _Grid:
     """The runs of one grid, planned as a prefix tree of segments.
 
     Two runs share iterations [0, t) only when they have the same
-    curriculum, seed and total iterations, and at every iteration before t
-    the same stage index, batch composition, loss weights and learning rate,
-    the same sampler pools at or below that stage's level, and no stage that
-    moves picks from an empty level (those log a warning per run, so they
-    are never shared). Sharing is then the same at every level of the tree:
-    runs that share [0, t) with a third run share [0, t) with each other.
+    curriculum, seed and total iterations, and their spans before t pair up
+    with the same stop, learning rate, stage index, batch composition and
+    loss weights, the same sampler pools at or below that stage's level, and
+    no stage that moves picks from an empty level (those log a warning per
+    run, so they are never shared). Every strategy is cut at the same
+    points, the scaled decay iterations. Sharing is then the same at every
+    level of the tree: runs that share [0, t) with a third run share [0, t)
+    with each other.
     """
 
     def __init__(self, runs: list[_Run], fs_train: FeatureSet, fs_test: FeatureSet, *,
@@ -232,32 +222,30 @@ class _Grid:
         self.batch_log = batch_log
         self.segments: list[_Segment] = []
         self.last = [0] * len(runs)  # each run's last segment
-        points = [_change_points(r.schedule) for r in runs]
+        plans = [spans(r.schedule) for r in runs]
         totals = [sum(s.iterations for s in r.schedule) for r in runs]
 
         @cache
         def sampler(a: int) -> CurriculumSampler:
             return CurriculumSampler(runs[a].cd, fs_train, runs[a].keep)
 
-        def same_step(a: int, b: int, sa: StageSpec, sb: StageSpec, it: int) -> bool:
-            k = sa.stage_index + 1
-            return (
-                (sa.stage_index, sa.batch_size, sa.batch_composition, sa.loss_weights,
-                 lr_at(sa.lr_plan, it))
-                == (sb.stage_index, sb.batch_size, sb.batch_composition, sb.loss_weights,
-                    lr_at(sb.lr_plan, it))
-                and not sampler(a).moves_picks(sa) and not sampler(b).moves_picks(sb)
-                and all(map(np.array_equal, sampler(a).by_level[:k], sampler(b).by_level[:k]))
-            )
+        def key(span: tuple) -> tuple:
+            _, stop, s, lr = span
+            return stop, lr, s.stage_index, s.batch_size, s.batch_composition, s.loss_weights
 
         def shared(a: int, b: int) -> int:
-            """How many first iterations runs a and b train identically."""
+            """How many first iterations runs a and b train identically: up
+            to the start of their first pair of spans that differ."""
             ra, rb = runs[a], runs[b]
             if ra.cd is not rb.cd or ra.seed != rb.seed or totals[a] != totals[b]:
                 return 0
-            for it in sorted({it for it, _ in points[a] + points[b]}):
-                if not same_step(a, b, _stage_at(points[a], it), _stage_at(points[b], it), it):
-                    return it
+            for span_a, span_b in zip(plans[a], plans[b]):
+                sa, sb, k = span_a[2], span_b[2], span_a[2].stage_index + 1
+                if (key(span_a) != key(span_b)
+                        or sampler(a).moves_picks(sa) or sampler(b).moves_picks(sb)
+                        or not all(map(np.array_equal, sampler(a).by_level[:k],
+                                       sampler(b).by_level[:k]))):
+                    return span_a[0]
             return totals[a]
 
         def grow(members: list[int], start: int, parent: int | None) -> None:

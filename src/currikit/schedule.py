@@ -9,7 +9,8 @@ first n stages of that plan, the last of them running to the end of the
 budget; it scales both the composition (to any batch size divisible by 4)
 and the iteration axis (by a factor in (0, 1]) so the same plan runs at desk
 scale. ``plain_schedule`` is the plain-training baseline: one unrestricted,
-unweighted stage over the same budget and learning-rate plan.
+unweighted stage over the same budget and learning-rate plan. ``spans`` is the
+one reader of a schedule's stage and rate changes.
 
 Batches apply two balancing rules: the level-0 (clean) portion draws that
 many distinct categories uniformly and then one uniformly random clean sample
@@ -21,7 +22,7 @@ balance.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,27 +124,6 @@ def full_lr_plan(scale: float = 1.0) -> tuple[tuple[int, float], ...]:
     return tuple(plan)
 
 
-def _plan_slice(
-    plan: tuple[tuple[int, float], ...], start: int, stop: int
-) -> tuple[tuple[int, float], ...]:
-    segment = [(start, lr_at(plan, start))]
-    for it, lr in plan:
-        if start < it < stop:
-            segment.append((it, lr))
-    return tuple(segment)
-
-
-def _scaled_composition(base: tuple[int, ...], batch_size: int) -> tuple[int, ...]:
-    return tuple(c * batch_size // BASE_BATCH for c in base)
-
-
-def _check_schedule_args(batch_size: int, scale: float) -> None:
-    if batch_size < 4 or batch_size % 4 != 0:
-        raise ValueError("batch_size must be a positive multiple of 4")
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must be in (0, 1]")
-
-
 def default_schedule(
     batch_size: int = BASE_BATCH, scale: float = 1.0, n_stages: int = 3
 ) -> list[StageSpec]:
@@ -151,7 +131,10 @@ def default_schedule(
     to `batch_size` and the iteration axis scaled by `scale`. The last stage
     runs to the end of the budget: 3 stages are the full curriculum, 2 never
     sample the highly-noisy subset and 1 trains on the clean subset only."""
-    _check_schedule_args(batch_size, scale)
+    if batch_size < 4 or batch_size % 4 != 0:
+        raise ValueError("batch_size must be a positive multiple of 4")
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("scale must be in (0, 1]")
     if not 1 <= n_stages <= len(BASE_COMPOSITIONS):
         raise ValueError(f"n_stages must be in [1, {len(BASE_COMPOSITIONS)}]")
     plan = full_lr_plan(scale)
@@ -164,10 +147,11 @@ def default_schedule(
         StageSpec(
             stage_index=s,
             batch_size=batch_size,
-            batch_composition=_scaled_composition(BASE_COMPOSITIONS[s], batch_size),
+            batch_composition=tuple(c * batch_size // BASE_BATCH for c in BASE_COMPOSITIONS[s]),
             loss_weights=DEFAULT_LOSS_WEIGHTS,
             iterations=stop - start,
-            lr_plan=_plan_slice(plan, start, stop),
+            lr_plan=((start, lr_at(plan, start)),
+                     *((it, lr) for it, lr in plan if start < it < stop)),
         )
         for s, (start, stop) in enumerate(zip(bounds, bounds[1:]))
     ]
@@ -175,20 +159,26 @@ def default_schedule(
 
 def plain_schedule(batch_size: int = BASE_BATCH, scale: float = 1.0) -> list[StageSpec]:
     """One stage for the whole budget with unrestricted, unweighted sampling
-    over every level (the plain-training baseline)."""
-    _check_schedule_args(batch_size, scale)
-    total = _scale_iteration(BASE_TOTAL_ITERS, scale)
+    over every level (the plain-training baseline): ModelB's one stage of
+    :func:`default_schedule`, with its budget and learning-rate plan."""
     n_levels = len(DEFAULT_LOSS_WEIGHTS)
-    return [
-        StageSpec(
-            stage_index=n_levels - 1,
-            batch_size=batch_size,
-            batch_composition=None,
-            loss_weights=(1.0,) * n_levels,
-            iterations=total,
-            lr_plan=_plan_slice(full_lr_plan(scale), 0, total),
-        )
-    ]
+    return [replace(default_schedule(batch_size, scale, 1)[0], stage_index=n_levels - 1,
+                    batch_composition=None, loss_weights=(1.0,) * n_levels)]
+
+
+def spans(schedule: list[StageSpec]) -> list[tuple[int, int, StageSpec, float]]:
+    """(start, stop, stage, learning rate) of each non-empty run of global
+    iterations over which the stage and the rate stay the same: the schedule
+    cut at every stage boundary and ``lr_plan`` breakpoint, tiling [0, total)."""
+    out = []
+    start = 0
+    for stage in schedule:
+        stop = start + stage.iterations
+        cuts = sorted({it for it, _ in stage.lr_plan if start < it < stop})
+        out += [(a, b, stage, lr_at(stage.lr_plan, a))
+                for a, b in zip([start, *cuts], [*cuts, stop]) if a < b]
+        start = stop
+    return out
 
 
 # ---------------------------------------------------------------------------

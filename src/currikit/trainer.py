@@ -12,13 +12,13 @@ fully deterministic for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .curriculum import CurriculumDesign
 from .data import FeatureSet, NOISE_CLEAN, SyntheticTruth
-from .schedule import CurriculumSampler, StageSpec, lr_at
+from .schedule import CurriculumSampler, StageSpec, spans
 from .seeding import component_rng
 
 LOG_EPS = 1e-12
@@ -257,16 +257,7 @@ class RunMetrics:
             "final_topk": self.final_topk,
             "per_category_top1": [float(x) for x in self.per_category_top1],
             "per_category_topk": [float(x) for x in self.per_category_topk],
-            "points": [
-                {
-                    "iteration": p.iteration,
-                    "stage": p.stage,
-                    "train_loss": p.train_loss,
-                    "test_top1": p.test_top1,
-                    "test_topk": p.test_topk,
-                }
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
         }
 
     @staticmethod
@@ -416,7 +407,6 @@ def train(
         eval_every = max(1, total // 10)
 
     metrics = RunMetrics(strategy=strategy_tag, seed=seed, topk=topk)
-    n_levels = sampler.n_levels
     train_z = model.standardize(fs_train.features)
     train_y = fs_train.labels
     # The parameters, their momentum buffers and gradients, each as one
@@ -449,15 +439,12 @@ def train(
     if not state.points:
         record(0, schedule[0])
     iteration = state.iteration
-    stage_end = 0
-    for stage in schedule:
-        stage_end += stage.iterations
-        while iteration < min(stage_end, stop):
-            lr = lr_at(stage.lr_plan, iteration)
+    for _, end, stage, lr in spans(schedule):
+        while iteration < min(end, stop):
             batch = sampler.next_batch(stage, rng)
             if batch_log is not None:
                 batch_log.append(
-                    (iteration, stage.stage_index, batch.level_counts(n_levels),
+                    (iteration, stage.stage_index, batch.level_counts(sampler.n_levels),
                      stage.loss_weights)
                 )
             loss, _ = model.loss_and_grads(

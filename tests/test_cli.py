@@ -189,6 +189,17 @@ class TestTrain:
         assert r.stdout == ""
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("flag, what", [
+        ("--strategies", "strategy"), ("--seeds", "seed"), ("--noisy-fraction", "fraction"),
+    ], ids=["strategies", "seeds", "fractions"])
+    def test_empty_list_exit_1(self, workspace, flag, what):
+        r = run_cli(TRAIN + [flag, ",", "--out-dir", "out"], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert f"currikit: error: at least one {what} is required" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+        assert not (workspace / "out").exists()
+
     def test_worker_error_exit_1(self, workspace, monkeypatch, capfd):
         # capfd also captures what the forked workers write to stderr.
         def failing_train(tag, *args, **kwargs):
@@ -290,7 +301,7 @@ class TestMalformedInputs:
         r = run_cli(["analyze", "--curriculum", "curriculum.json",
                      "--reference", "ref.csv", "--out-dir", "."], cwd=workspace)
         assert r.returncode == 1, r.stderr
-        assert "currikit: error: row 1 has 1 cells, expected 2" in r.stderr
+        assert "currikit: error: ref.csv: row 1 has 1 cells, expected 2" in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_binary_header_beyond_file_exit_1(self, tmp_path):
@@ -300,7 +311,7 @@ class TestMalformedInputs:
         (tmp_path / "big.bin").write_bytes(header + struct.pack("<I", 5) + b"cat00")
         r = run_cli(["design", "--features", "big.bin", "--out-dir", "."], cwd=tmp_path)
         assert r.returncode == 1, r.stderr
-        assert "currikit: error: truncated file: N=100000 records at d=100000" in r.stderr
+        assert "currikit: error: big.bin: truncated file: N=100000 records at d=100000" in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("command", ["train", "analyze"])

@@ -385,12 +385,12 @@ def test_csv_reader_errors(tmp_path, reader, case):
     long_id = "x" * (csv.field_size_limit() + 1)
     path = tmp_path / "in.csv"
     text, message = {
-        "empty": ("", empty_message),
-        "wrong-header": (f"id,x,y\n{row}\n", header_message),
+        "empty": ("", f"{path}: {empty_message}"),
+        "wrong-header": (f"id,x,y\n{row}\n", f"{path}: {header_message}"),
         "short-row": (f"{header}\n{row}\n{short}\n",
-                      f"row 1 has {width - 1} cells, expected {width}"),
+                      f"{path}: row 1 has {width - 1} cells, expected {width}"),
         "blank-then-short-row": (f"{header}\n{row}\n\n{short}\n",
-                                 f"row 2 has {width - 1} cells, expected {width}"),
+                                 f"{path}: row 2 has {width - 1} cells, expected {width}"),
         "over-field-limit": (f"{header}\n{row}\n{long_id}{row[1:]}\n",
                              f"{path}: row 1: field larger than field limit "
                              f"({csv.field_size_limit()})"),
@@ -470,3 +470,12 @@ class TestTake:
         assert sub.n_samples == 2
         assert sub.sample_ids == ("s0", "s2")
         assert sub.category_names == fs.category_names
+
+    @pytest.mark.parametrize("mask", [[True, False, True], [True, False, True, False, False]],
+                             ids=["short", "long"])
+    def test_mask_of_wrong_length_rejected(self, mask):
+        fs = small_fs()
+        truth = SyntheticTruth(true_labels=np.zeros(4), noise_kind=(NOISE_CLEAN,) * 4)
+        for data in (fs, truth):
+            with pytest.raises(IndexError):
+                data.take(np.array(mask))

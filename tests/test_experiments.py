@@ -328,9 +328,17 @@ class TestSharedPrefixes:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_divergence_in_shared_segment_names_first_run(self, split, monkeypatch, cores):
-        lr_at = trainer.lr_at
-        monkeypatch.setattr(trainer, "lr_at",
-                            lambda plan, it: 1e300 if it >= 100 else lr_at(plan, it))
+        spans = trainer.spans
+
+        def diverging(schedule):
+            # The spans cut at iteration 100, with rate 1e300 from there on.
+            out = []
+            for start, stop, stage, lr in spans(schedule):
+                out += [(a, b, stage, lr if b <= 100 else 1e300)
+                        for a, b in ((start, min(stop, 100)), (max(start, 100), stop)) if a < b]
+            return out
+
+        monkeypatch.setattr(trainer, "spans", diverging)
         tags = ["ModelB", "ModelC", "ModelD"]  # stage 0 (300 iterations) is shared
         monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -13,6 +13,7 @@ from currikit.schedule import (
     full_lr_plan,
     lr_at,
     plain_schedule,
+    spans,
 )
 from oracles import scalar_draw_clean
 
@@ -72,6 +73,40 @@ class TestDefaultSchedule:
         assert lr_at(plan, 299) == 0.1
         assert lr_at(plan, 300) == 0.01
         assert lr_at(plan, 10_000) == 0.001
+
+
+class TestSpans:
+    # 1e-5 rounds two decay points onto one iteration (6).
+    @pytest.mark.parametrize("scale", [1, 0.001, 0.0003, 1e-5])
+    def test_spans_tile_the_schedule_with_each_iterations_rate(self, scale):
+        schedules = [default_schedule(16, scale, n) for n in (1, 2, 3)]
+        schedules.append(plain_schedule(16, scale))
+        cuts = set()
+        for schedule in schedules:
+            parts = spans(schedule)
+            total = sum(s.iterations for s in schedule)
+            bounds = [(start, stop) for start, stop, _, _ in parts]
+            assert all(start < stop for start, stop in bounds)
+            assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+            assert bounds[-1][1] == total
+            # Brute force: the stage and rate of every iteration.
+            expected, start = [], 0
+            for stage in schedule:
+                its = range(start, start + stage.iterations)
+                expected += [(id(stage), lr_at(stage.lr_plan, it)) for it in its]
+                start += stage.iterations
+            got = [(id(stage), lr) for a, b, stage, lr in parts for _ in range(a, b)]
+            assert got == expected
+            cuts.add(tuple(bounds))
+        # Every strategy of one scale is cut at the same points.
+        assert len(cuts) == 1
+
+    def test_cuts_at_each_breakpoint_once_and_skips_empty_stages(self):
+        empty = StageSpec(0, 8, (8, 0, 0), (1.0, 0.5, 0.5), 0, ((0, 0.5),))
+        stage = StageSpec(1, 8, (4, 4, 0), (1.0, 0.5, 0.5), 10,
+                          ((0, 0.1), (4, 0.01), (4, 0.001), (7, 1e-4), (12, 1e-5)))
+        assert spans([empty, stage, empty]) == [
+            (0, 4, stage, 0.1), (4, 7, stage, 0.001), (7, 10, stage, 1e-4)]
 
 
 def labelled_design(labels, levels, n_categories):
