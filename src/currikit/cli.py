@@ -92,15 +92,22 @@ def _apply_config(
 
 def _seed_list(text: str) -> list[int]:
     """Seeds as '1,2,5' or a '1..10' inclusive range."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--seeds {text!r} is not a seed list; give a comma list such as "
+                         "1,2,5 or an inclusive range such as 1..10") from None
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--noisy-fraction {text!r} is not a list of percentages; give a "
+                         "comma list such as 0,25,50,75,100") from None
 
 
 def _json_text(doc) -> str:

@@ -124,32 +124,6 @@ class CurriculumDesign:
             )
         return stats
 
-    def levels_for(self, fs: FeatureSet) -> np.ndarray:
-        """Subset levels aligned to `fs` row order; every id must be known."""
-        if fs.sample_ids == self.sample_ids:
-            return self.levels
-        lookup = {sid: int(lv) for sid, lv in zip(self.sample_ids, self.levels)}
-        out = np.empty(fs.n_samples, dtype=np.int64)
-        for i, sid in enumerate(fs.sample_ids):
-            if sid not in lookup:
-                raise CurriculumError(f"unknown sample id {sid!r}: not in the curriculum")
-            out[i] = lookup[sid]
-        return out
-
-    def restrict(self, keep: np.ndarray) -> "CurriculumDesign":
-        """Design restricted to the samples where `keep` is True."""
-        keep = np.asarray(keep, dtype=bool)
-        idx = np.flatnonzero(keep)
-        return CurriculumDesign(
-            params=self.params,
-            sample_ids=tuple(self.sample_ids[i] for i in idx),
-            categories=self.categories[idx],
-            levels=self.levels[idx],
-            dist_to_center=self.dist_to_center[idx],
-            center_ids=self.center_ids,
-            d_c=self.d_c,
-        )
-
 
 # ---------------------------------------------------------------------------
 # 1-D k-means partition

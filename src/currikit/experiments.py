@@ -35,7 +35,7 @@ import numpy as np
 
 from .curriculum import CurriculumDesign, CurriculumParams, design
 from .data import FeatureSet
-from .schedule import CurriculumSampler, StageSpec, default_schedule, plain_schedule, spans
+from .schedule import StageSpec, default_schedule, plain_schedule, report_moves, spans
 from .seeding import component_rng
 from .trainer import RunMetrics, TrainState, train
 
@@ -138,9 +138,11 @@ def run_grid(
     and keep-mask and plans the segments; forked worker processes, one per
     usable core and never more than the runs, then train the segments,
     while numpy's OpenBLAS runs one thread. A segment is sent to a worker
-    as soon as its parent segment's end state is back. A run's outputs do
-    not depend on the number of workers. Where the OpenBLAS thread-count
-    call is not found, the runs train one after another in this process."""
+    as soon as its parent segment's end state is back. The parent logs each
+    run's pick moves (:func:`report_moves`) at the start of its turn. A
+    run's outputs and warnings do not depend on the number of workers.
+    Where the OpenBLAS thread-count call is not found, the runs train one
+    after another in this process."""
     for what, entries in (("strategy", tags), ("seed", seeds), ("fraction", fractions)):
         if entries is not None and not entries:
             raise ValueError(f"at least one {what} is required")
@@ -169,7 +171,7 @@ def run_grid(
             for fraction in [None] if fractions is None else fractions:
                 run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
                 for seed in seeds:
-                    keep = None if fraction is None else restrict_highly_noisy(cd, fraction, seed)
+                    keep = restrict_highly_noisy(cd, 1.0 if fraction is None else fraction, seed)
                     runs.append(_Run(run_tag, cd, schedule, seed, keep))
         grid = _Grid(runs, fs_train, fs_test, arch=arch, hidden_dim=hidden_dim, topk=topk,
                      batch_log=batch_log)
@@ -186,7 +188,11 @@ class _Run:
     cd: CurriculumDesign
     schedule: list[StageSpec]
     seed: int
-    keep: np.ndarray | None
+    keep: np.ndarray
+
+    def report_moves(self) -> None:
+        n = self.cd.n_subsets
+        report_moves(self.schedule, np.bincount(self.cd.levels[self.keep], minlength=n))
 
 
 @dataclass(frozen=True)
@@ -206,12 +212,12 @@ class _Grid:
     Two runs share iterations [0, t) only when they have the same
     curriculum, seed and total iterations, and their spans before t pair up
     with the same stop, learning rate, stage index, batch composition and
-    loss weights, the same sampler pools at or below that stage's level, and
-    no stage that moves picks from an empty level (those log a warning per
-    run, so they are never shared). Every strategy is cut at the same
-    points, the scaled decay iterations. Sharing is then the same at every
-    level of the tree: runs that share [0, t) with a third run share [0, t)
-    with each other.
+    loss weights, and keep-masks that agree on every sample at or below that
+    stage's level. A stage's batches are a function of those pools alone,
+    so a stage that moves picks off an empty level is shared like any
+    other. Every strategy is cut at the same points, the scaled decay
+    iterations. Sharing is then the same at every level of the tree: runs
+    that share [0, t) with a third run share [0, t) with each other.
     """
 
     def __init__(self, runs: list[_Run], fs_train: FeatureSet, fs_test: FeatureSet, *,
@@ -225,10 +231,6 @@ class _Grid:
         plans = [spans(r.schedule) for r in runs]
         totals = [sum(s.iterations for s in r.schedule) for r in runs]
 
-        @cache
-        def sampler(a: int) -> CurriculumSampler:
-            return CurriculumSampler(runs[a].cd, fs_train, runs[a].keep)
-
         def key(span: tuple) -> tuple:
             _, stop, s, lr = span
             return stop, lr, s.stage_index, s.batch_size, s.batch_composition, s.loss_weights
@@ -240,11 +242,8 @@ class _Grid:
             if ra.cd is not rb.cd or ra.seed != rb.seed or totals[a] != totals[b]:
                 return 0
             for span_a, span_b in zip(plans[a], plans[b]):
-                sa, sb, k = span_a[2], span_b[2], span_a[2].stage_index + 1
-                if (key(span_a) != key(span_b)
-                        or sampler(a).moves_picks(sa) or sampler(b).moves_picks(sb)
-                        or not all(map(np.array_equal, sampler(a).by_level[:k],
-                                       sampler(b).by_level[:k]))):
+                low = ra.cd.levels <= span_a[2].stage_index
+                if key(span_a) != key(span_b) or not np.array_equal(ra.keep[low], rb.keep[low]):
                     return span_a[0]
             return totals[a]
 
@@ -312,10 +311,10 @@ class _Grid:
         return metrics, log
 
     def train_serially(self) -> Iterator[tuple[RunMetrics, list | None]]:
-        """Train in this process, each run's own segments at its turn, so
-        that the runs log their warnings in serial order."""
+        """Train in this process, each run's own segments at its turn."""
         done: dict[int, tuple] = {}
         for run in range(len(self.runs)):
+            self.runs[run].report_moves()
             for i in self.path(run):
                 if i not in done:
                     parent = self.segments[i].parent
@@ -351,6 +350,7 @@ class _Grid:
                     if seg.parent is None:
                         submit(i, None)
                 for run in range(len(self.runs)):
+                    self.runs[run].report_moves()
                     path = self.path(run)
                     while not all(i in done for i in path):
                         for i in path:

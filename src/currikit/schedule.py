@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
-from .curriculum import CurriculumDesign
+from .curriculum import CurriculumDesign, CurriculumError
 from .data import FeatureSet
 
 logger = logging.getLogger(__name__)
@@ -130,7 +131,8 @@ def default_schedule(
     """The first `n_stages` stages of the reference plan, composition scaled
     to `batch_size` and the iteration axis scaled by `scale`. The last stage
     runs to the end of the budget: 3 stages are the full curriculum, 2 never
-    sample the highly-noisy subset and 1 trains on the clean subset only."""
+    sample the highly-noisy subset and 1 trains on the clean subset only. A
+    scale that leaves any stage without an iteration is rejected."""
     if batch_size < 4 or batch_size % 4 != 0:
         raise ValueError("batch_size must be a positive multiple of 4")
     if not 0.0 < scale <= 1.0:
@@ -143,6 +145,9 @@ def default_schedule(
         + [_scale_iteration(b, scale) for b in BASE_STAGE_BOUNDS[: n_stages - 1]]
         + [_scale_iteration(BASE_TOTAL_ITERS, scale)]
     )
+    for s in range(n_stages):
+        if bounds[s] == bounds[s + 1]:
+            raise ValueError(f"scale {scale:g} leaves stage {s} with no iterations")
     return [
         StageSpec(
             stage_index=s,
@@ -210,15 +215,25 @@ def _move_picks(
     return counts, moves
 
 
+def report_moves(schedule: list[StageSpec], pool_sizes: list[int]) -> None:
+    """Log each move of picks off an empty level that `schedule`'s batches
+    make over pools of `pool_sizes` samples per level (:func:`_move_picks`)."""
+    for stage in schedule:
+        if stage.batch_composition is not None:
+            for level, count, target in _move_picks(stage.batch_composition, pool_sizes)[1]:
+                logger.warning("stage %d: level %d subset is empty; moving %d picks to level %d",
+                               stage.stage_index, level, count, target)
+
+
 class CurriculumSampler:
-    """Draws stage batches from a curriculum bound to a FeatureSet.
+    """Draws stage batches from a curriculum over the dataset it was designed on.
 
     The sampler is a pure function of the generator passed to
     :meth:`next_batch`; two identically seeded generators yield identical
     batches. If a required subset is empty dataset-wide, its count shifts to
-    the nearest lower non-empty level (logged once per stage/level pair).
-    `include` masks samples out of every pool without touching the dataset
-    (used by the highly-noisy-fraction sweep).
+    the nearest lower non-empty level, silently (:func:`report_moves` logs
+    it for a run). `include` masks samples out of every pool without
+    touching the dataset (used by the highly-noisy-fraction sweep).
 
     The clean pools are one index array grouped by category, each category's
     pool at ``clean_start[c]:clean_start[c] + clean_size[c]`` in ascending
@@ -232,26 +247,25 @@ class CurriculumSampler:
         fs: FeatureSet,
         include: np.ndarray | None = None,
     ):
-        self.levels = cd.levels_for(fs)
+        if fs.sample_ids != cd.sample_ids:
+            row, given, known = next((i, a, b) for i, (a, b) in enumerate(
+                zip_longest(fs.sample_ids, cd.sample_ids)) if a != b)
+            raise CurriculumError(f"dataset row {row} has sample id {given!r} where the "
+                                  f"curriculum has {known!r}: not the dataset it was designed on")
+        self.levels = cd.levels
         self.n_levels = cd.n_subsets
-        if include is None:
-            self.include = np.ones(fs.n_samples, dtype=bool)
-        else:
-            self.include = np.asarray(include, dtype=bool)
-            if self.include.shape != (fs.n_samples,):
-                raise ValueError("include mask length does not match the dataset")
-        self.by_level = [
-            np.flatnonzero((self.levels == s) & self.include)
-            for s in range(self.n_levels)
-        ]
+        self.include = (np.ones(fs.n_samples, dtype=bool) if include is None
+                        else np.asarray(include, dtype=bool))
+        if self.include.shape != (fs.n_samples,):
+            raise ValueError("include mask length does not match the dataset")
+        self.by_level = [np.flatnonzero((self.levels == s) & self.include)
+                         for s in range(self.n_levels)]
         clean = self.by_level[0]
         clean_labels = fs.labels[clean]
         self.clean_flat = clean[np.argsort(clean_labels, kind="stable")]
         self.clean_size = np.bincount(clean_labels, minlength=fs.n_categories)
         self.clean_start = np.cumsum(self.clean_size) - self.clean_size
         self.categories_with_clean = np.flatnonzero(self.clean_size)
-        self._pool_sizes = [pool.size for pool in self.by_level]
-        self._warned: set[tuple[int, int]] = set()
         self._stage_draws: dict[StageSpec, tuple[list, np.ndarray]] = {}
 
     def stage_pool(self, stage: StageSpec) -> np.ndarray:
@@ -259,12 +273,6 @@ class CurriculumSampler:
         what an unrestricted stage draws from, and what the stage's training
         loss is taken over."""
         return np.flatnonzero((self.levels <= stage.stage_index) & self.include)
-
-    def moves_picks(self, stage: StageSpec) -> bool:
-        """Whether `stage` asks for picks from an empty level above level 0,
-        which its batches then move to a lower level (and log once)."""
-        return stage.batch_composition is not None and bool(
-            _move_picks(stage.batch_composition, self._pool_sizes)[1])
 
     def _draws(self, stage: StageSpec) -> tuple[list, np.ndarray]:
         """The (pool, count) draws of one batch of `stage`, in draw order,
@@ -278,14 +286,7 @@ class CurriculumSampler:
                     raise ValueError("no samples available for an unrestricted stage")
                 draws = [(pool, stage.batch_size)]
             else:
-                counts, moves = _move_picks(stage.batch_composition, self._pool_sizes)
-                for level, count, target in moves:
-                    if (stage.stage_index, level) not in self._warned:
-                        logger.warning(
-                            "stage %d: level %d subset is empty; moving %d picks to level %d",
-                            stage.stage_index, level, count, target,
-                        )
-                        self._warned.add((stage.stage_index, level))
+                counts = _move_picks(stage.batch_composition, [p.size for p in self.by_level])[0]
                 if counts[0] and not self.by_level[0].size:
                     raise ValueError("level 0 subset is empty; cannot build a batch")
                 draws = [(None if level == 0 else self.by_level[level], count)

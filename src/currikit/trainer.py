@@ -18,7 +18,7 @@ import numpy as np
 
 from .curriculum import CurriculumDesign
 from .data import FeatureSet, NOISE_CLEAN, SyntheticTruth
-from .schedule import CurriculumSampler, StageSpec, spans
+from .schedule import CurriculumSampler, StageSpec, report_moves, spans
 from .seeding import component_rng
 
 LOG_EPS = 1e-12
@@ -385,18 +385,20 @@ def train(
     removes samples from the sampling pools without changing the dataset
     (and therefore without changing input standardization).
 
-    A run is one segment from a fresh start to the end. Given a `state`
-    (from :meth:`TrainState.start` or an earlier call), the run goes on from
-    that state's iteration, advancing the state in place, and stops after
-    iteration `stop` (default: the end); `arch` and `hidden_dim` then come
-    from the state's model. Each call repacks the arrays of
-    ``state.model.params`` and ``state.velocity`` into new ones (views into
-    one vector each), so an array taken from those dicts before the call no
-    longer follows the run. The metrics hold every eval point since
-    iteration 0; their final errors stay nan until the run reaches its end.
+    A run is one segment from a fresh start to the end, which first logs
+    its stages' pick moves off empty levels (:func:`report_moves`). Given a
+    `state` (from :meth:`TrainState.start` or an earlier call), the run goes
+    on from that state's iteration without logging them, advancing the state
+    in place, and stops after iteration `stop` (default: the end); `arch`
+    and `hidden_dim` then come from the state's model. Each call repacks the
+    arrays of ``state.model.params`` and ``state.velocity`` into new ones
+    (views into one vector each), so an array taken from those dicts before
+    the call no longer follows the run. The metrics hold every eval point
+    since iteration 0; their final errors stay nan until the run ends.
     """
     sampler = CurriculumSampler(cd, fs_train, include_mask)
     if state is None:
+        report_moves(schedule, [pool.size for pool in sampler.by_level])
         state = TrainState.start(fs_train, seed, arch, hidden_dim)
     model, rng = state.model, state.rng
     total = sum(s.iterations for s in schedule)

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -200,6 +202,31 @@ class TestTrain:
         assert r.stdout == ""
         assert not (workspace / "out").exists()
 
+    def test_scale_leaving_a_stage_without_iterations_exit_1(self, workspace):
+        # ModelD's stages 0 and 1 would get no iteration at this scale.
+        r = run_cli(TRAIN + ["--scale", "1e-6", "--strategies", "B,D", "--topk", "3",
+                             "--out-dir", "out"], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error: scale 1e-06 leaves stage 0 with no iterations" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--seeds", "1..", "--seeds '1..' is not a seed list; give a comma list such as "
+                           "1,2,5 or an inclusive range such as 1..10"),
+        ("--seeds", "a", "--seeds 'a' is not a seed list"),
+        ("--noisy-fraction", "x", "--noisy-fraction 'x' is not a list of percentages; "
+                                  "give a comma list such as 0,25,50,75,100"),
+        ("--seeds", "2..1", "at least one seed is required"),
+    ], ids=["open-range", "seed-word", "fraction-word", "empty-range"])
+    def test_malformed_list_exit_1(self, workspace, flag, text, message):
+        r = run_cli(TRAIN + [flag, text, "--out-dir", "out"], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert f"currikit: error: {message}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workspace / "out").exists()
+
     def test_worker_error_exit_1(self, workspace, monkeypatch, capfd):
         # capfd also captures what the forked workers write to stderr.
         def failing_train(tag, *args, **kwargs):
@@ -375,6 +402,38 @@ class TestResourceLimits:
         err = capsys.readouterr().err
         assert re.search(r"currikit: error: a category of \d+ samples needs \d+ bytes", err)
         assert "budget of 800 bytes" in err
+
+
+def _usable_cpus():
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+@pytest.mark.skipif(len(_usable_cpus()) < 2, reason="needs two usable CPUs")
+class TestCoreCounts:
+    """A train command writes the same files, stdout and stderr when its
+    process may use one CPU (runs train serially) and two (forked workers)."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--strategies", "A,B,C,D"],
+        ["--noisy-fraction", "0,100"],  # fraction 0 moves stage 2's level-2 picks
+    ], ids=["grid", "sweep"])
+    def test_one_and_two_cores_give_the_same_bytes(self, workspace, extra):
+        seen = []
+        for cpus in (_usable_cpus()[:1], _usable_cpus()[:2]):
+            r = subprocess.run(
+                [sys.executable, "-m", "currikit", *TRAIN, *extra, "--seeds", "0,1",
+                 "--batch-log", "--out-dir", "out"],
+                cwd=workspace, env=cli_env(), capture_output=True,
+                preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+            )
+            assert r.returncode == 0, r.stderr
+            out = workspace / "out"
+            seen.append(({f.name: f.read_bytes() for f in sorted(out.iterdir())},
+                         r.stdout, r.stderr))
+            shutil.rmtree(out)
+        assert seen[0] == seen[1]
+        if extra[0] == "--noisy-fraction":
+            assert seen[0][2].count(b"level 2 subset is empty") == 2
 
 
 class TestConfigAndEnv:

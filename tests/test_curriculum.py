@@ -22,6 +22,7 @@ from currikit.data import (
     generate_synthetic,
     reference_from_truth,
 )
+from currikit.schedule import CurriculumSampler
 from oracles import (
     brute_cutoff,
     brute_local_density,
@@ -249,7 +250,7 @@ class TestSerialization:
             category_names=("x", "y"),
         )
         with pytest.raises(CurriculumError, match="stranger"):
-            cd.levels_for(other)
+            CurriculumSampler(cd, other)
 
     @pytest.mark.parametrize("name, cut", [
         ("categories", 1), ("levels", 12), ("dist_to_center", 19), ("d_c", 1),
@@ -262,14 +263,6 @@ class TestSerialization:
             replace(cd, **{name: getattr(cd, name)[cut:]})
         with pytest.raises(CurriculumError, match="expected one value per entry of sample_ids"):
             replace(cd, sample_ids=cd.sample_ids[:-1])
-
-    def test_restrict_drops_samples(self):
-        fs, _ = generate_synthetic(SynthConfig(2, 10, 3, 0.6, 0.25, 0.15, seed=2))
-        cd = design_curriculum(fs, CurriculumParams())
-        keep = cd.levels < 2
-        sub = cd.restrict(keep)
-        assert sub.n_samples == int(keep.sum())
-        assert (sub.levels < 2).all()
 
     def test_params_preserved(self, tmp_path):
         fs, _ = generate_synthetic(SynthConfig(2, 12, 3, 0.6, 0.25, 0.15, seed=8))

@@ -311,20 +311,33 @@ class TestSharedPrefixes:
         monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
         assert _grid_runs(split, **GRIDS[grid]) == _REFERENCE[grid]
 
-    def test_empty_level_warnings_per_run(self, split, monkeypatch, caplog):
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_empty_level_warnings_per_run(self, split, monkeypatch, caplog, cores):
         _level_one_moved_up(monkeypatch)
         tags = ["ModelB", "ModelC", "ModelD"]
         with caplog.at_level(logging.WARNING, logger="currikit.schedule"):
             expected = _independent_runs(split, tags, [0, 1])
             independent_logs = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
             caplog.clear()
-            monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+            monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
             assert _grid_runs(split, tags, [0, 1]) == expected
             grid_logs = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
         # ModelC and ModelD each move level-1 picks in stage 1, ModelD also in
         # stage 2: one warning per run and stage.
         assert len(independent_logs) == 6
         assert grid_logs == independent_logs
+
+    def test_stage_that_moves_picks_is_shared(self, split, monkeypatch, count_steps):
+        # With level 1 empty, ModelC and ModelD move its picks in stage 1 and
+        # still share it: 300 shared steps, ModelB's other 400, then 200
+        # shared and 200 each for ModelC and ModelD (1,500 without sharing
+        # stage 1).
+        _level_one_moved_up(monkeypatch)
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+        tags = ["ModelB", "ModelC", "ModelD"]
+        grid = _grid_runs(split, tags, [0], scale=0.001)
+        assert len(count_steps) == 1300
+        assert grid == _independent_runs(split, tags, [0], scale=0.001)
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_divergence_in_shared_segment_names_first_run(self, split, monkeypatch, cores):

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from currikit.schedule import (
     full_lr_plan,
     lr_at,
     plain_schedule,
+    report_moves,
     spans,
 )
 from oracles import scalar_draw_clean
@@ -50,6 +52,17 @@ class TestDefaultSchedule:
             default_schedule(64, 0.0)
         with pytest.raises(ValueError):
             default_schedule(64, 1.5)
+
+    @pytest.mark.parametrize("scale, n_stages, stage", [
+        (1e-6, 3, 0), (1e-6, 2, 0), (2e-6, 3, 1), (1e-7, 1, 0),
+    ])
+    def test_scale_leaving_a_stage_without_iterations_rejected(self, scale, n_stages, stage):
+        # At 2e-6 the stage bounds round to 1, 1 and 1: stage 1 gets none.
+        with pytest.raises(ValueError, match=re.escape(f"scale {scale:g} leaves stage {stage} ")):
+            default_schedule(64, scale, n_stages)
+        if n_stages == 1:
+            with pytest.raises(ValueError, match=re.escape(f"scale {scale:g} leaves stage 0 ")):
+                plain_schedule(64, scale)
 
     def test_stage_spec_validation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -162,11 +175,9 @@ class TestSampler:
     def test_single_category_with_replacement(self):
         fs, cd = planted_sampler(n_categories=20)
         keep = fs.labels == 0
-        fs1 = fs.take(keep)
-        cd1 = cd.restrict(keep)
         stage = StageSpec(0, 8, (8, 0, 0), (1.0, 0.5, 0.5), 1, ((0, 0.1),))
-        batch = CurriculumSampler(cd1, fs1).next_batch(stage, np.random.default_rng(5))
-        assert (fs1.labels[batch.indices] == 0).all()
+        batch = CurriculumSampler(cd, fs, keep).next_batch(stage, np.random.default_rng(5))
+        assert (fs.labels[batch.indices] == 0).all()
         assert batch.size == 8
 
     def test_deterministic_given_rng_state(self):
@@ -191,6 +202,7 @@ class TestSampler:
         stage = StageSpec(2, 16, (8, 4, 4), (1.0, 0.5, 0.5), 1, ((0, 0.1),))
         sampler = CurriculumSampler(cd, fs)
         with caplog.at_level(logging.WARNING):
+            report_moves([stage], [pool.size for pool in sampler.by_level])
             batch = sampler.next_batch(stage, np.random.default_rng(2))
         assert batch.level_counts(3) == (8, 8, 0)
         assert "empty" in caplog.text
@@ -358,27 +370,38 @@ class TestSamplerProperties:
 
 
 class TestPickMoveRule:
-    """`moves_picks` and the batches read one rule: a stage moves picks
-    exactly when its batches' level counts differ from its composition."""
+    """`report_moves` and the batches read one rule: a stage's moves are
+    logged exactly when its batches' level counts differ from its
+    composition."""
 
     @pytest.mark.parametrize("counts, include_level2", [
         ((6, 0, 3), True), ((6, 3, 0), True), ((6, 0, 0), True), ((6, 3, 3), False),
     ], ids=["level1-empty", "level2-empty", "both-empty", "include-empties-level2"])
-    def test_moves_picks_iff_counts_differ(self, counts, include_level2):
+    def test_moves_picks_iff_counts_differ(self, counts, include_level2, caplog):
         fs, cd = planted_sampler(n_categories=4, per_category=sum(counts), counts=counts)
         include = cd.levels < (3 if include_level2 else 2)
         sampler = CurriculumSampler(cd, fs, include)
+        pool_sizes = [pool.size for pool in sampler.by_level]
         rng = np.random.default_rng(0)
+
+        def reported_stages(schedule):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="currikit.schedule"):
+                report_moves(schedule, pool_sizes)
+            return [int(re.match(r"stage (\d+): ", r.getMessage())[1]) for r in caplog.records]
+
         moved = []
         for n in (1, 2, 3):
-            for stage in default_schedule(16, 0.001, n):
+            schedule = default_schedule(16, 0.001, n)
+            reported = reported_stages(schedule)
+            for stage in schedule:
                 padded = stage.batch_composition + (0,) * (3 - len(stage.batch_composition))
                 differs = sampler.next_batch(stage, rng).level_counts(3) != padded
-                assert sampler.moves_picks(stage) == differs, (n, stage.stage_index)
+                assert (stage.stage_index in reported) == differs, (n, stage.stage_index)
                 moved.append(differs)
         assert any(moved)
+        assert reported_stages(plain_schedule(16, 0.001)) == []
         plain = plain_schedule(16, 0.001)[0]
-        assert not sampler.moves_picks(plain)
         batch = sampler.next_batch(plain, rng)
         assert np.isin(batch.indices, sampler.stage_pool(plain)).all()
         assert include[batch.indices].all()
