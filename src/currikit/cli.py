@@ -94,12 +94,18 @@ def _seed_list(text: str) -> list[int]:
     """Seeds as '1,2,5' or a '1..10' inclusive range."""
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+            ends = [int(end) for end in text.split("..", 1)]
+            seeds = list(range(ends[0], ends[1] + 1))
+        else:
+            seeds = ends = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--seeds {text!r} is not a seed list; give a comma list such as "
                          "1,2,5 or an inclusive range such as 1..10") from None
+    negative = [seed for seed in ends if seed < 0]
+    if negative:
+        raise ValueError(f"--seeds {text!r} holds the negative seed {negative[0]}; seeds "
+                         "are non-negative integers such as 1,2,5 or 1..10")
+    return seeds
 
 
 def _float_list(text: str) -> list[float]:

@@ -161,9 +161,6 @@ class FeatureSet:
     def category_indices(self, category: int) -> np.ndarray:
         return np.flatnonzero(self.labels == category)
 
-    def index_of(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.sample_ids)}
-
     def take(self, indices) -> "FeatureSet":
         """Rows by number, in order, or by a full-length mask; all categories kept."""
         rows = np.arange(self.n_samples)[indices]
@@ -503,10 +500,6 @@ def load_reference_labels(path: str | Path) -> dict[str, int]:
                 raise DatasetError(f"duplicate id {row[0]!r} at row {i}")
             out[row[0]] = _label_cell(row[1], i)
     return out
-
-
-def reference_from_truth(fs: FeatureSet, truth: SyntheticTruth) -> dict[str, int]:
-    return {sid: int(t) for sid, t in zip(fs.sample_ids, truth.true_labels)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ bitwise independent of any scheduling.
 
 ``distance_matrix``, ``cutoff_dc``, ``local_density`` and
 ``delta_and_center`` are the reference definitions. ``density_profile``
-returns what they compose to, bit for bit, without building the matrix.
+returns what they compose to, bit for bit, without building the matrix: it
+streams row blocks, so its memory grows linearly in the category size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,12 +23,18 @@ import numpy as np
 
 DEFAULT_K_PERCENT = 60.0
 
-# The largest distance matrix one category may need: 8 * n^2 bytes for n
-# samples, so 2 GiB allows up to 16384 samples per category.
+# The most memory one category's density statistics may take: 8 n^2 bytes
+# for ``distance_matrix``, the streamed working set (``_profile_bytes``) for
+# ``density_profile``. 2 GiB allows 16,384 samples per matrix and about
+# 144,000 samples of 64 features per density design.
 MAX_MATRIX_BYTES = 2 * 1024**3
 
 # Rows per block of every n x n pass.
 _ROW_BLOCK = 128
+
+# Candidate pairs the cutoff selection may keep, per sample: one row
+# block's worth.
+_KEEP_PER_SAMPLE = _ROW_BLOCK
 
 # Pairs per chunk of exact re-checks.
 _PAIR_CHUNK = 4096
@@ -52,20 +60,34 @@ class DensityProfile:
     center_dist: np.ndarray
 
 
-def _checked_features(features: np.ndarray) -> np.ndarray:
-    """The (n, d) features as float64, once their shape, the matrix budget
-    and their finiteness are checked."""
+def _profile_bytes(n: int, d: int) -> int:
+    """An upper bound on ``density_profile``'s working set for n samples of
+    d features, bar the band: three n x d float64 copies of the features,
+    a few float64 vectors of n, 64 bytes per element of one row block (the
+    approximations, their histogram bins and a refinement pass's key
+    temporaries, or the last pass's masks) and 40 bytes per candidate pair
+    of ``_select`` (index and value, gathered, joined and partitioned). The
+    passes do not overlap, which leaves room for a small category's cached
+    blocks."""
+    block = min(_ROW_BLOCK, n)
+    return 8 * n * (3 * d + 8 + 8 * block + 5 * _KEEP_PER_SAMPLE)
+
+
+def _checked_features(features: np.ndarray, need, what: str) -> np.ndarray:
+    """The (n, d) features as float64, once their shape, the memory budget
+    (`need(n, d)` bytes for the caller's `what`) and their finiteness are
+    checked."""
     feats = np.asarray(features)
     if feats.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
-    n = feats.shape[0]
+    n, d = feats.shape
     if n < 1:
         raise ValueError("need at least one sample")
-    needed = 8 * n * n
+    needed = need(n, d)
     if needed > MAX_MATRIX_BYTES:
         raise ValueError(
-            f"a category of {n} samples needs {needed} bytes for its distance "
-            f"matrix, over the budget of {MAX_MATRIX_BYTES} bytes")
+            f"a category of {n} samples needs {needed} bytes for its {what}, "
+            f"over the budget of {MAX_MATRIX_BYTES} bytes")
     feats = feats.astype(np.float64, copy=False)
     if not np.isfinite(feats).all():
         raise ValueError("non-finite feature value")
@@ -85,7 +107,7 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
     ``_ROW_BLOCK`` x n float64 each. A matrix larger than
     ``MAX_MATRIX_BYTES`` raises ValueError before anything is allocated.
     """
-    feats = _checked_features(features)
+    feats = _checked_features(features, lambda n, d: 8 * n * n, "distance matrix")
     n = feats.shape[0]
     cols = np.ascontiguousarray(feats.T)
     d2 = np.empty((n, n), dtype=np.float64)
@@ -126,23 +148,132 @@ def _row_blocks(n: int):
         yield i0, i1, above[: i1 - i0, : i1 - i0]
 
 
-def _condensed_upper(n: int, block_of) -> np.ndarray:
-    """The strict upper triangle of an n x n matrix as one vector, from its
-    row blocks: ``block_of(i0, i1)`` returns rows i0:i1, columns i0: on.
-    Per block, the triangle of the diagonal square comes first, then the
-    rectangle right of it."""
-    upper = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    start = 0
+def _keys(a: np.ndarray) -> np.ndarray:
+    """Order-preserving int64 keys of float64 values: the bit pattern, with
+    the low 63 bits flipped for a negative value. Keys order every non-NaN
+    value like ``<`` does, with -0.0 just below +0.0."""
+    k = a.view(np.int64)
+    return k ^ ((k >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key(x: float) -> int:
+    """The key of one value."""
+    return int(_keys(np.array(x, dtype=np.float64)))
+
+
+def _value(key: int) -> float:
+    """The float64 value of a key; the key map is its own inverse."""
+    return float(_keys(np.array(key, dtype=np.int64).view(np.float64)).view(np.float64))
+
+
+def _bins(a: np.ndarray, shift: int, base: int, nb: int, out: np.ndarray) -> np.ndarray:
+    """The histogram bin of each value of `a`, written to `out` (int64, a's
+    shape): bin j + 1 for a key k with ``(k >> shift) - base == j`` in
+    [0, nb), bin 0 below that and bin nb + 1 above. When ``base >= 0`` every
+    negative value lands in bin 0 whatever its key, so the raw bit pattern
+    serves and saves the key's three passes. The shifted keys are clipped
+    before the subtraction, which would overflow int64 at shift 0."""
+    k = _keys(a) if base < 0 else a.view(np.int64)
+    np.right_shift(k, shift, out=out)
+    np.maximum(out, base - 1, out=out)
+    np.minimum(out, base + nb, out=out)
+    return np.subtract(out, base - 1, out=out)
+
+
+def _histogram(n: int, block_of, shift: int, base: int, nb: int, with_keys: bool):
+    """One pass of ``_select``: the count of strict upper-triangle pairs in
+    each bin 0..nb + 1 of ``_bins``, and with `with_keys` the smallest and
+    largest key in bins 1..nb (None if there is none)."""
+    hist = np.zeros(nb + 3, dtype=np.int64)
+    lows, highs = [], []
+    buf = np.empty(min(_ROW_BLOCK, n) * n, dtype=np.int64)
+    for i0, i1, above in _row_blocks(n):
+        a = block_of(i0, i1)
+        bins = _bins(a, shift, base, nb, buf[:a.size].reshape(a.shape))
+        bins[:, :i1 - i0][~above] = nb + 2  # not in the strict upper triangle
+        hist += np.bincount(bins.ravel(), minlength=nb + 3)
+        if with_keys:
+            keys = _keys(a[(bins >= 1) & (bins <= nb)])
+            if keys.size:
+                lows.append(int(keys.min()))
+                highs.append(int(keys.max()))
+        del a  # before the next block is computed
+    return hist[:nb + 2], (min(lows), max(highs)) if lows else None
+
+
+def _select(n: int, block_of, rank: int, eps: float, bottom: float, top: float,
+            rho: np.ndarray):
+    """The value of rank `rank` among the strict upper triangle of an n x n
+    matrix, streamed from its row blocks: ``block_of(i0, i1)`` returns rows
+    i0:i1, columns i0: on, each value in [bottom, top].
+
+    Histogram passes narrow a window [lo, hi] of keys (``_keys``) that holds
+    the rank's value, until at most ``_KEEP_PER_SAMPLE * n`` pairs fall into
+    its bin or it holds one key. The first pass bins the 32 octaves below
+    `top` at 2^m bins per octave, m growing with n, and gathers every
+    smaller key in one bin. A further pass tiles the window in as many bins
+    and narrows it to the smallest and largest key it saw there, so a window
+    of one repeated value ends the passes. The last pass adds to `rho`, for
+    both samples, every pair below the window's lowest value less 2 `eps`
+    and keeps the pairs up to its highest value plus 2 `eps` (NaN included).
+    Every pair left out lies strictly on its side of the rank's value, so
+    that value is an order statistic of the kept ones. Returns it, the kept
+    pairs as flat indices i * n + j and their values. With an infinite
+    `eps` every pair is kept.
+    """
+    budget = _KEEP_PER_SAMPLE * n
+    count = n * (n - 1) // 2
+    lo, hi = _key(bottom), _key(top)
+    sub_bits = max(0, n.bit_length() - 4)
+    nb = 32 << sub_bits
+    shift = 52 - sub_bits
+    first = True
+    while math.isfinite(eps) and count > budget and lo < hi:
+        if first:
+            base = max(lo >> shift, (hi >> shift) - nb + 1)
+        else:
+            shift = 0
+            while (hi >> shift) - (lo >> shift) >= nb:
+                shift += 1
+            base = lo >> shift
+        hist, keys = _histogram(n, block_of, shift, base, nb, with_keys=not first)
+        j = int(np.searchsorted(np.cumsum(hist), rank, side="right"))
+        count = int(hist[j])
+        if j == 0:
+            hi = (base << shift) - 1
+        else:
+            lo = max(lo, (base + j - 1) << shift)
+            hi = min(hi, ((base + j) << shift) - 1)
+        if keys is not None:
+            lo, hi = max(lo, keys[0]), min(hi, keys[1])
+        first = False
+    floor, ceiling = (_value(lo), _value(hi)) if math.isfinite(eps) else (-math.inf, math.inf)
+    low, high = floor - 2.0 * eps, ceiling + 2.0 * eps
+    kept_flat, kept_vals = [], []
     for i0, i1, above in _row_blocks(n):
         rows = i1 - i0
-        blk = block_of(i0, i1)
-        square = blk[:, :rows][above]
-        upper[start:start + square.size] = square
-        start += square.size
-        stop = start + rows * (n - i1)
-        upper[start:stop].reshape(rows, n - i1)[...] = blk[:, rows:]
-        start = stop
-    return upper
+        a = block_of(i0, i1)
+        below = a < low
+        keep = np.greater(a, high)
+        keep |= below
+        np.logical_not(keep, out=keep)
+        below[:, :rows] &= above
+        keep[:, :rows] &= above
+        ones = below.view(np.uint8)
+        rho[i0:i1] += np.add.reduce(ones, axis=1, dtype=np.int32)
+        rho[i0:] += np.add.reduce(ones, axis=0, dtype=np.int32)
+        flat = np.flatnonzero(keep)
+        row, col = np.divmod(flat, n - i0)
+        kept_flat.append((row + i0) * n + (col + i0))
+        kept_vals.append(a[keep])
+        del a  # before the next block is computed
+    kept_flat = np.concatenate(kept_flat)
+    kept_vals = np.concatenate(kept_vals)
+    r = rank - int(rho.sum()) // 2  # each pair below counts twice
+    t = float(np.partition(kept_vals, r)[r]) if 0 <= r < kept_vals.size else math.nan
+    if math.isfinite(eps) and not floor <= t <= ceiling:
+        raise RuntimeError("cutoff selection lost its rank")
+    return t, kept_flat, kept_vals
 
 
 def cutoff_dc(d2: np.ndarray, k_percent: float = DEFAULT_K_PERCENT) -> float:
@@ -156,20 +287,18 @@ def cutoff_dc(d2: np.ndarray, k_percent: float = DEFAULT_K_PERCENT) -> float:
     ``distance_matrix`` returns it. Then the sorted entries are the n
     diagonal zeros followed by each strict upper-triangle value twice, so
     ranks below n are 0.0 and rank r >= n is the upper-triangle value of rank
-    (r - n) // 2. That value is found by partitioning a copy of the upper
-    triangle alone, about half the matrix, in place. The copy goes in blocks
-    of ``_ROW_BLOCK`` rows: the strict upper triangle of the block's diagonal
-    square, then the rectangle right of it.
+    (r - n) // 2. ``_select`` finds that value from the rows in blocks of
+    ``_ROW_BLOCK``, keeping about one block's worth of candidates.
     """
     d2 = np.asarray(d2, dtype=np.float64)
     n = d2.shape[0]
     idx = _cutoff_rank(n, k_percent)
     if idx < n:
         return 0.0
-    upper = _condensed_upper(n, lambda i0, i1: d2[i0:i1, i0:])
     rank = (idx - n) // 2
-    upper.partition(rank)
-    return float(upper[rank])
+    t, _, _ = _select(n, lambda i0, i1: d2[i0:i1, i0:], rank, 0.0, 0.0,
+                      float(d2.max()), np.zeros(n, dtype=np.int64))
+    return t
 
 
 def local_density(d2: np.ndarray, d_c: float) -> np.ndarray:
@@ -301,22 +430,25 @@ def density_profile(
     a = |y_i|^2 + |y_j|^2 - 2 y_i . y_j on the centered rows y, one BLAS
     Gram product per block of ``_ROW_BLOCK`` rows over the upper triangle,
     and each approximation is within ``eps`` (``_gram_error_bound``) of the
-    exact value e. Two passes over recomputed blocks follow:
+    exact value e. Then:
 
-    1. The strict upper triangle of the approximations is partitioned at
-       the cutoff's upper-triangle rank r, giving t. The exact d_c lies in
-       [t - eps, t + eps].
-    2. A pair with a < t - 2 eps has e < d_c and is counted in rho for both
-       of its samples; one with a > t + 2 eps has e > d_c. The others (NaN
-       included) form the band, which holds every e in [t - eps, t + eps];
-       their exact values give d_c, the band value of rank r less the
-       number of pairs below, and add to rho where e < d_c.
+    1. ``_select`` streams the blocks, recomputed on each pass, to find t,
+       the approximation of upper-triangle rank r, counts in rho every
+       pair far below t and keeps the pairs near it, about one block's
+       worth. The exact d_c lies in [t - eps, t + eps].
+    2. A kept pair with a < t - 2 eps has e < d_c and is counted in rho for
+       both of its samples; one with a > t + 2 eps has e > d_c. The others
+       (NaN included) form the band, which holds every e in
+       [t - eps, t + eps]; their exact values give d_c, the band value of
+       rank r less the number of pairs below, and add to rho where e < d_c.
 
-    The center comes from exact rows (``_center``). Memory: the condensed
-    approximate triangle, 4 n (n - 1) bytes, plus row blocks and the band;
-    the ``MAX_MATRIX_BYTES`` check is the one ``distance_matrix`` makes.
+    The center comes from exact rows (``_center``). Memory grows linearly
+    in n: ``_profile_bytes`` bounds it and is checked against
+    ``MAX_MATRIX_BYTES``. Only the band adds to it, which stays small unless
+    many pairs tie at the cutoff. A category whose blocks fit in the
+    candidates' bytes computes each block once and keeps it.
     """
-    feats = _checked_features(features)
+    feats = _checked_features(features, _profile_bytes, "density design")
     n, d = feats.shape
     idx = _cutoff_rank(n, k_percent)
     cols = np.ascontiguousarray(feats.T)
@@ -326,7 +458,8 @@ def density_profile(
         with np.errstate(over="ignore", invalid="ignore"):
             y = feats - feats.mean(axis=0)
             sq = np.einsum("ij,ij->i", y, y)
-        eps = _gram_error_bound(float(sq.max()), d)
+        big = float(sq.max())
+        eps = _gram_error_bound(big, d)
 
         def approx(i0: int, i1: int) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -336,27 +469,20 @@ def density_profile(
                 a += sq[i0:]
             return a
 
+        # The blocks take at most 4 n (n + _ROW_BLOCK) bytes; when that fits
+        # in the candidates' 16 bytes per pair, each is computed once.
+        if 4 * n * (n + _ROW_BLOCK) <= 16 * _KEEP_PER_SAMPLE * n:
+            approx = functools.cache(approx)
         rank = (idx - n) // 2
-        upper = _condensed_upper(n, approx)
-        upper.partition(rank)
-        t = float(upper[rank])
-        del upper
+        # e >= 0, e <= 4 big up to rounding, and |a - e| <= eps / 4, so every
+        # approximation lies in [-eps, 4 big + eps].
+        t, kept, vals = _select(n, approx, rank, eps, -eps, 4.0 * big + eps, rho)
         lo, hi = t - 2.0 * eps, t + 2.0 * eps
-        band_i, band_j = [], []
-        for i0, i1, above in _row_blocks(n):
-            rows = i1 - i0
-            a = approx(i0, i1)
-            below = a < lo
-            band = ~(below | (a > hi))
-            below[:, :rows] &= above
-            band[:, :rows] &= above
-            rho[i0:i1] += np.count_nonzero(below, axis=1)
-            rho[i0:] += np.count_nonzero(below, axis=0)
-            bi, bj = np.nonzero(band)
-            band_i.append(bi + i0)
-            band_j.append(bj + i0)
-        band_i = np.concatenate(band_i)
-        band_j = np.concatenate(band_j)
+        below = vals < lo
+        band = ~(below | (vals > hi))
+        for ends in np.divmod(kept[below], n):
+            rho += np.bincount(ends, minlength=n)
+        band_i, band_j = np.divmod(kept[band], n)
         exact = _exact_distances(cols, band_i, band_j)
         band_rank = rank - int(rho.sum()) // 2  # each pair below counts twice
         d_c = float(np.partition(exact, band_rank)[band_rank])

@@ -42,9 +42,15 @@ def _softmax_(z: np.ndarray) -> np.ndarray:
 def _weighted_ce_(
     logits: np.ndarray, labels: np.ndarray, weights: np.ndarray, grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
-    """:func:`weighted_ce_loss` written over `logits`, a float64 array the
-    caller owns: they become the probabilities and then, if `grad`, the
-    gradient. Without `grad` the gradient is None."""
+    """Mean weighted cross-entropy over a batch and, if `grad`, its gradient
+    w.r.t. the logits, written over `logits`, a float64 array the caller
+    owns: they become the probabilities and then the gradient.
+
+    The loss is sum_i -weights[i] * log(p_i[labels[i]]) / b over the b rows,
+    with each probability clamped at 1e-12; the gradient of row i is
+    weights[i] * (p_i - onehot(labels[i])) / b, exactly linear in the weight.
+    Without `grad` the gradient is None.
+    """
     b = logits.shape[0]
     rows = np.arange(b)
     probs = _softmax_(logits)
@@ -56,19 +62,6 @@ def _weighted_ce_(
     probs[rows, labels] -= weights
     probs /= b
     return loss, probs
-
-
-def weighted_ce_loss(
-    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean weighted cross-entropy over a batch and its gradient w.r.t. the
-    logits.
-
-    The loss is sum_i -weights[i] * log(p_i[labels[i]]) / b over the b rows,
-    with each probability clamped at 1e-12; the gradient of row i is
-    weights[i] * (p_i - onehot(labels[i])) / b, exactly linear in the weight.
-    """
-    return _weighted_ce_(np.array(logits, dtype=np.float64), labels, weights)
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Everything here is written to be obviously correct (plain loops, textbook
 dynamic programming) and stays independent of the library implementations it
-checks.
+checks, except the test-only helpers at the end, which give the tests
+convenient forms of library data and of one library kernel.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from currikit.trainer import _weighted_ce_
 
 
 def naive_distance_matrix(features: np.ndarray) -> np.ndarray:
@@ -67,6 +70,23 @@ def literal_delta(d2: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, int]:
         else:
             delta[i] = max(d2[i, j] for j in range(n))
     return delta, int(np.argmax(delta))
+
+
+def ordered_center(d2: np.ndarray, rho: np.ndarray) -> int:
+    """The center by the ordering rule: samples ranked by rho descending,
+    then index ascending; the first takes the maximum of its distance row
+    as delta, every other the minimum distance to an earlier-ranked sample;
+    the center is the smallest index of maximal delta."""
+    rows = np.asarray(d2, dtype=np.float64).tolist()
+    n = len(rows)
+    ranked = sorted(range(n), key=lambda i: (-int(rho[i]), i))
+    delta = [0.0] * n
+    for pos, i in enumerate(ranked):
+        if pos == 0:
+            delta[i] = max(rows[i])
+        else:
+            delta[i] = min(rows[i][j] for j in ranked[:pos])
+    return delta.index(max(delta))
 
 
 def unique_rho_mask(rho: np.ndarray) -> np.ndarray:
@@ -231,3 +251,23 @@ def alloc_momentum_step(
         v *= momentum
         v -= lr * g
         params[name] += v
+
+
+# Test-only helpers over library types and kernels.
+
+def weighted_ce_loss(
+    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The trainer's weighted cross-entropy and its gradient, leaving
+    `logits` alone."""
+    return _weighted_ce_(np.array(logits, dtype=np.float64), labels, weights)
+
+
+def reference_from_truth(fs, truth) -> dict[str, int]:
+    """Each sample id of `fs` with its true label from `truth`."""
+    return {sid: int(t) for sid, t in zip(fs.sample_ids, truth.true_labels)}
+
+
+def index_of(fs) -> dict[str, int]:
+    """Each sample id of `fs` with its row."""
+    return {sid: i for i, sid in enumerate(fs.sample_ids)}

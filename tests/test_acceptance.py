@@ -27,13 +27,12 @@ from currikit.data import (
     SynthConfig,
     generate_synthetic,
     load_features,
-    reference_from_truth,
     save_features,
 )
 from currikit.density import cutoff_dc, delta_and_center, distance_matrix, local_density
 from currikit.experiments import run_grid
 from currikit.schedule import CurriculumSampler, StageSpec
-from currikit.trainer import holdout_split, weighted_ce_loss
+from currikit.trainer import holdout_split
 from cli_support import run_cli
 from oracles import (
     brute_cutoff,
@@ -41,8 +40,10 @@ from oracles import (
     finite_diff_grad,
     literal_delta,
     naive_distance_matrix,
+    reference_from_truth,
     relative_error,
     unique_rho_mask,
+    weighted_ce_loss,
 )
 
 PLANT = dict(n_categories=10, per_category=200, n_features=32,

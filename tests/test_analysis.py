@@ -12,8 +12,9 @@ from currikit.analysis import (
     subset_noise_rates,
 )
 from currikit.curriculum import CurriculumDesign, CurriculumParams, design_curriculum
-from currikit.data import SynthConfig, generate_synthetic, reference_from_truth
+from currikit.data import SynthConfig, generate_synthetic
 from currikit.trainer import RunMetrics
+from oracles import reference_from_truth
 
 
 def fixture_design(levels, categories, ids=None):

@@ -227,6 +227,16 @@ class TestTrain:
         assert "Traceback" not in r.stderr
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("text, seed", [
+        ("-1", -1), ("0,-3", -3), ("-2..1", -2), ("1..-1", -1),
+    ], ids=["single", "in-list", "range-start", "range-end"])
+    def test_negative_seed_exit_1(self, workspace, text, seed):
+        r = run_cli(TRAIN + [f"--seeds={text}", "--out-dir", "out"], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert f"currikit: error: --seeds {text!r} holds the negative seed {seed};" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workspace / "out").exists()
+
     def test_worker_error_exit_1(self, workspace, monkeypatch, capfd):
         # capfd also captures what the forked workers write to stderr.
         def failing_train(tag, *args, **kwargs):

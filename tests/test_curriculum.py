@@ -20,15 +20,16 @@ from currikit.data import (
     FeatureSet,
     SynthConfig,
     generate_synthetic,
-    reference_from_truth,
 )
 from currikit.schedule import CurriculumSampler
 from oracles import (
     brute_cutoff,
     brute_local_density,
+    index_of,
     literal_delta,
     naive_distance_matrix,
     optimal_kmeans_1d,
+    reference_from_truth,
     wcss_of,
 )
 
@@ -120,7 +121,7 @@ class TestDesignCurriculum:
 
     def test_center_is_clean(self, design):
         fs, _, cd = design
-        idx = fs.index_of()
+        idx = index_of(fs)
         for c, center_id in enumerate(cd.center_ids):
             i = idx[center_id]
             assert fs.labels[i] == c
@@ -180,7 +181,7 @@ class TestDesignCurriculum:
                 d_c = brute_cutoff(d2, 60.0)
                 rho = brute_local_density(d2, d_c)
                 assert cd.d_c[c] == d_c
-                center = idx.tolist().index(fs.index_of()[cd.center_ids[c]])
+                center = idx.tolist().index(index_of(fs)[cd.center_ids[c]])
                 assert np.array_equal(cd.dist_to_center[idx], d2[center])
                 if (rho == rho.max()).sum() == 1:
                     _, expected_center = literal_delta(d2, rho)

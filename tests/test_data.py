@@ -22,10 +22,10 @@ from currikit.data import (
     load_features,
     load_reference_labels,
     load_truth,
-    reference_from_truth,
     save_features,
     save_truth,
 )
+from oracles import reference_from_truth
 
 
 def small_fs(names=("a", "b")) -> FeatureSet:

@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from currikit import density
@@ -18,6 +19,7 @@ from oracles import (
     brute_local_density,
     literal_delta,
     naive_distance_matrix,
+    ordered_center,
     unique_rho_mask,
 )
 
@@ -84,7 +86,12 @@ class TestDistanceMatrix:
         monkeypatch.setattr(density, "MAX_MATRIX_BYTES", 8 * 30 * 30 - 1)
         with pytest.raises(ValueError, match="30 samples needs 7200 bytes"):
             distance_matrix(feats)
-        with pytest.raises(ValueError, match="30 samples needs 7200 bytes"):
+        # density_profile's budget is its streamed working set, not the matrix.
+        monkeypatch.setattr(density, "MAX_MATRIX_BYTES", 216000)
+        assert density_profile(feats).rho.shape == (30,)
+        monkeypatch.setattr(density, "MAX_MATRIX_BYTES", 216000 - 1)
+        with pytest.raises(ValueError, match="30 samples needs 216000 bytes for its "
+                                             "density design"):
             density_profile(feats)
 
 
@@ -295,3 +302,150 @@ class TestProfileMatchesReferences:
         assert prof.rho.dtype == rho.dtype and prof.rho.tobytes() == rho.tobytes()
         assert prof.center == center
         assert prof.center_dist.tobytes() == center_dist.tobytes()
+
+
+def oracle_profile(feats, k_percent, d2=None):
+    """(d_c, rho, center, center_dist) from the brute-force oracles, over
+    the naive distance matrix unless the exact `d2` is given."""
+    d2 = naive_distance_matrix(feats) if d2 is None else d2
+    d_c = brute_cutoff(d2, k_percent)
+    rho = brute_local_density(d2, d_c)
+    center = ordered_center(d2, rho)
+    return d_c, rho, center, d2[center]
+
+
+def assert_bytes_equal(prof, expected):
+    d_c, rho, center, center_dist = expected
+    assert np.float64(prof.d_c).tobytes() == np.float64(d_c).tobytes()
+    assert prof.rho.dtype == rho.dtype and prof.rho.tobytes() == rho.tobytes()
+    assert prof.center == center
+    assert prof.center_dist.tobytes() == center_dist.tobytes()
+
+
+def category(kind, n, d, seed):
+    """n x d features of one kind; see TestStreamedSelection."""
+    rng = np.random.default_rng(seed)
+    if kind == "spread":
+        return rng.uniform(-1e3, 1e3, (n, d))
+    if kind == "grid":
+        return rng.integers(-3, 4, (n, d)).astype(np.float64)
+    if kind == "identical":
+        return np.tile(rng.standard_normal(d) + 0.1, (n, 1))
+    if kind == "near-duplicate":
+        base = rng.standard_normal((int(rng.integers(1, 5)), d)) * 1e3
+        feats = base[np.arange(n) % len(base)]
+        nudge = rng.random((n, d)) < 0.5
+        return np.where(nudge, np.nextafter(feats, np.inf), feats)
+    # far below the anchor: tiny values and one far outlier
+    feats = rng.standard_normal((n, d)) * 1e-9
+    feats[0] += 1e6
+    return feats
+
+
+class TestStreamedSelection:
+    """density_profile's streamed cutoff selection against the oracles.
+
+    Sizes sit at the 128-row block edges. The kinds: spread values; a small
+    integer grid, which ties many pairs at the cutoff; identical rows, whose
+    window ends as one repeated value; near-duplicate rows, whose
+    approximations come out negative; and tiny rows beside one far outlier,
+    whose pairs all fall far below the anchor into the first pass's bottom
+    bin. A budget of one candidate pair per sample makes the selection
+    refine its window in further passes."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from([1, 2, 127, 128, 129, 255, 256, 257]),
+           st.integers(1, 3),
+           st.sampled_from(["spread", "grid", "identical", "near-duplicate", "far-below"]),
+           st.one_of(st.sampled_from([0.5, 99.9]),
+                     st.floats(0.0, 100.0, exclude_min=True, exclude_max=True)),
+           st.sampled_from([density._KEEP_PER_SAMPLE, 1]),
+           st.integers(0, 2**32 - 1))
+    # Windows refined down to single keys while negative approximations,
+    # whose keys lie over 2^63 below the window, fall outside them.
+    @example(n=128, d=3, kind="near-duplicate", k_percent=44.0, keep=1, seed=0)
+    @example(n=127, d=2, kind="near-duplicate", k_percent=99.9, keep=1, seed=0)
+    def test_bytes_equal_the_oracles(self, n, d, kind, k_percent, keep, seed):
+        feats = category(kind, n, d, seed)
+        expected = oracle_profile(feats, k_percent)
+        with mock.patch.object(density, "_KEEP_PER_SAMPLE", keep):
+            assert_bytes_equal(density_profile(feats, k_percent), expected)
+            d2 = distance_matrix(feats)
+            assert cutoff_dc(d2, k_percent) == expected[0]
+
+    @pytest.mark.parametrize("kind, k_percent, keep, passes", [
+        ("identical", 60.0, density._KEEP_PER_SAMPLE, 2),
+        ("near-duplicate", 0.5, density._KEEP_PER_SAMPLE, 1),
+        ("far-below", 60.0, density._KEEP_PER_SAMPLE, 2),
+        ("spread", 60.0, 1, 2),
+        ("grid", 60.0, 1, 2),
+    ])
+    def test_histogram_passes(self, monkeypatch, kind, k_percent, keep, passes):
+        # 300 samples hold more pairs than the default budget, so at least
+        # one histogram pass runs. Identical rows stop after the pass that
+        # sees one repeated value; tiny rows refine the bottom bin.
+        feats = category(kind, 300, 3, 7)
+        expected = oracle_profile(feats, k_percent, distance_matrix(feats))
+        calls = []
+        histogram = density._histogram
+        monkeypatch.setattr(density, "_histogram",
+                            lambda *args, **kw: calls.append(kw) or histogram(*args, **kw))
+        monkeypatch.setattr(density, "_KEEP_PER_SAMPLE", keep)
+        assert_bytes_equal(density_profile(feats, k_percent), expected)
+        assert len(calls) >= passes
+        if kind == "identical":
+            assert len(calls) == 2
+
+    def test_near_duplicate_approximations_negative(self):
+        feats = category("near-duplicate", 300, 3, 7)
+        y = feats - feats.mean(axis=0)
+        sq = np.einsum("ij,ij->i", y, y)
+        approx = -2.0 * (y @ y.T) + sq[:, None] + sq
+        assert (approx[np.triu_indices(300, 1)] < 0).any()
+
+    def test_peak_linear_in_n(self):
+        # Two n x d feature copies (transposed and centered) and a few row
+        # blocks; the parent's condensed triangle alone was 4 n (n - 1).
+        n, d = 3000, 64
+        feats = np.random.default_rng(14).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            density_profile(feats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n * d + 3 * density._ROW_BLOCK * 8 * n
+        assert peak <= density._profile_bytes(n, d)
+
+    def test_refining_peak_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(density, "_KEEP_PER_SAMPLE", 1)
+        n, d = 1000, 8
+        feats = category("spread", n, d, 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            density_profile(feats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= density._profile_bytes(n, d)
+
+    def test_category_over_the_matrix_budget_still_designed(self, monkeypatch):
+        # 2000 samples need 32 MB for their distance matrix but under 28 MB
+        # for the streamed design.
+        n, d = 2000, 8
+        feats = np.random.default_rng(21).standard_normal((n, d))
+        d2 = distance_matrix(feats)
+        d_c = cutoff_dc(d2, 60.0)
+        rho = local_density(d2, d_c)
+        center = delta_and_center(d2, rho)[2]
+        expected = (d_c, rho, center, d2[center])
+        del d2
+        budget = density._profile_bytes(n, d)
+        assert budget < 8 * n * n
+        monkeypatch.setattr(density, "MAX_MATRIX_BYTES", budget)
+        with pytest.raises(ValueError, match="2000 samples needs 32000000 bytes for its "
+                                             "distance matrix"):
+            distance_matrix(feats)
+        assert_bytes_equal(density_profile(feats, 60.0), expected)

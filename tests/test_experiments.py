@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currikit import experiments
 from currikit.analysis import category_correct_rates, rate_interval_report
@@ -236,7 +237,7 @@ def _independent_runs(split, tags, seeds, fractions=None, scale=SHARE_SCALE, **o
     cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
     out = []
     for tag in tags:
-        cd, schedule = build_strategy(tag, cache, 64, scale)
+        cd, schedule = experiments.build_strategy(tag, cache, 64, scale)
         for fraction in [None] if fractions is None else fractions:
             run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
             for seed in seeds:
@@ -363,6 +364,71 @@ class TestSharedPrefixes:
         assert str(grid.value) == str(independent.value)
 
 
+@pytest.fixture(scope="module")
+def small_split():
+    fs, truth = generate_synthetic(SynthConfig(6, 60, 8, 0.6, 0.25, 0.15, seed=0))
+    return holdout_split(fs, truth, 0.2, 0)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.seen = []
+
+    def emit(self, record):
+        self.seen.append((record.name, record.levelname, record.getMessage()))
+
+
+@st.composite
+def random_grids(draw):
+    tags = draw(st.permutations(STRATEGY_TAGS))[:draw(st.integers(1, len(STRATEGY_TAGS)))]
+    fractions = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=3, unique=True))
+    return dict(
+        tags=list(tags),
+        seeds=draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)),
+        fractions=fractions or None,
+        scale=draw(st.floats(1e-4, 5e-4)),
+        arch=draw(st.sampled_from(["linear", "mlp"])),
+        cores=draw(st.sampled_from([1, 2])),
+        level_one_moved_up=draw(st.booleans()),
+        # The five strategies' schedules never differ in rate alone; halving
+        # some strategies' rates makes runs whose spans differ only there.
+        halved=draw(st.sets(st.sampled_from(tags))),
+    )
+
+
+class TestRandomGrids:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(random_grids())
+    def test_grid_equals_independent_runs(self, small_split, grid):
+        build = experiments.build_strategy
+
+        def rates_halved(tag, *args):
+            cd, schedule = build(tag, *args)
+            if tag in grid["halved"]:
+                schedule = [replace(s, lr_plan=tuple((it, lr / 2) for it, lr in s.lr_plan))
+                            for s in schedule]
+            return cd, schedule
+
+        runs = dict(tags=grid["tags"], seeds=grid["seeds"], fractions=grid["fractions"],
+                    scale=grid["scale"], arch=grid["arch"], hidden_dim=8)
+        logger = logging.getLogger("currikit.schedule")
+        records = _Records()
+        logger.addHandler(records)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(experiments, "build_strategy", rates_halved)
+                if grid["level_one_moved_up"]:
+                    _level_one_moved_up(mp)
+                expected = _independent_runs(small_split, **runs)
+                independent_logs, records.seen = records.seen, []
+                mp.setattr(experiments, "_usable_cores", lambda: grid["cores"])
+                assert _grid_runs(small_split, **runs) == expected
+        finally:
+            logger.removeHandler(records)
+        assert records.seen == independent_logs
+
+
 def merged_noise_dataset(seed):
     """Two 5-category blocks with very different label-noise rates, merged
     into one 10-category dataset (distinct per-category correct rates)."""
@@ -394,7 +460,7 @@ class TestRateIntervalExperiment:
     def test_noisier_categories_gain_more(self):
         """Categories with lower label-correct rates benefit more from the
         curriculum than from plain training, in a majority of seeds."""
-        from currikit.data import reference_from_truth
+        from oracles import reference_from_truth
         from currikit.curriculum import design_curriculum
 
         favorable = 0

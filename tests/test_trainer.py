@@ -28,7 +28,6 @@ from currikit.trainer import (
     holdout_split,
     top_k_predictions,
     train,
-    weighted_ce_loss,
 )
 from oracles import (
     alloc_logits,
@@ -37,6 +36,7 @@ from oracles import (
     alloc_weighted_ce_loss,
     finite_diff_grad,
     relative_error,
+    weighted_ce_loss,
 )
 
 
