@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .analysis import (
@@ -110,10 +111,14 @@ def _seed_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        percents = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--noisy-fraction {text!r} is not a list of percentages; give a "
                          "comma list such as 0,25,50,75,100") from None
+    for p in percents:
+        if not 0 <= p <= 100:
+            raise ValueError(f"--noisy-fraction {text!r} holds {p:g}; percentages lie in [0, 100]")
+    return percents
 
 
 def _json_text(doc) -> str:
@@ -201,12 +206,10 @@ def _metrics_csv(runs: list[RunMetrics]) -> str:
     return out.getvalue()
 
 
-def _batch_log_csv(batch_log: list) -> str:
-    out = io.StringIO()
-    out.write("iteration,level_counts,weights\n")
-    for iteration, _, counts, weights in batch_log:
-        out.write(f"{iteration},{';'.join(map(str, counts))},{';'.join(map(repr, weights))}\n")
-    return out.getvalue()
+def _batch_log_csv(batch_log: Iterable[tuple]) -> str:
+    return "iteration,level_counts,weights\n" + "".join(
+        f"{iteration},{';'.join(map(str, counts))},{';'.join(map(repr, weights))}\n"
+        for iteration, _, counts, weights in batch_log)
 
 
 def _run_file_tag(tag: str) -> str:

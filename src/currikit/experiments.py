@@ -37,7 +37,7 @@ from .curriculum import CurriculumDesign, CurriculumParams, design
 from .data import FeatureSet
 from .schedule import StageSpec, default_schedule, plain_schedule, report_moves, spans
 from .seeding import component_rng
-from .trainer import RunMetrics, TrainState, train
+from .trainer import RunMetrics, TrainState, replay_batches, train
 
 # tag -> (design method, stages of the reference plan; None = plain schedule)
 _STRATEGIES = {
@@ -110,7 +110,7 @@ def run_grid(
     hidden_dim: int = 32,
     topk: int = 5,
     batch_log: bool = False,
-) -> Iterator[tuple[RunMetrics, list | None]]:
+) -> Iterator[tuple[RunMetrics, Iterator | None]]:
     """Train every strategy x seed, or with `fractions` every strategy x
     fraction x seed, and yield each run's (metrics, batch log or None) in
     that order. Each curriculum is designed once. An empty strategy, seed
@@ -131,8 +131,9 @@ def run_grid(
     first stage, ModelC and ModelD their second, and every fraction of a
     sweep shares the stages that never draw the highly-noisy subset. The
     grid is planned as a tree of segments (:class:`_Grid`); each segment
-    continues from its parent's end state, and each run's metrics and batch
-    log are the same as from its own :func:`train` call.
+    continues from its parent's end state, and each run's metrics are the
+    same as from its own :func:`train` call. A run's batch log draws that
+    call's batches again, in this process, as it is read (:func:`replay_batches`).
 
     The parent process designs the curricula, builds every run's schedule
     and keep-mask and plans the segments; forked worker processes, one per
@@ -150,18 +151,13 @@ def run_grid(
         for i, entry in enumerate(entries):
             if entry in entries[:i]:
                 raise ValueError(f"{what} {entry!r} is listed twice; each run needs its own entry")
-    if fractions is not None:
-        if any(f < 0 or f > 1 for f in fractions):
-            raise ValueError("fractions must lie in [0, 1]")
-        first: dict[str, float] = {}
-        for f in fractions:
-            text = f"{f:g}"
-            if text in first:
-                raise ValueError(
-                    f"fractions {first[text]!r} and {f!r} share the run tag suffix "
-                    f"@hn={text}; each fraction needs its own tag"
-                )
-            first[text] = f
+    if not all(0 <= f <= 1 for f in fractions or ()):
+        raise ValueError("fractions must lie in [0, 1]")
+    for i, f in enumerate(fractions or ()):
+        twin = next((g for g in fractions[:i] if f"{g:g}" == f"{f:g}"), None)
+        if twin is not None:
+            raise ValueError(f"fractions {twin!r} and {f!r} share the run tag suffix "
+                             f"@hn={f:g}; each fraction needs its own tag")
     with _one_blas_thread() as capped:
         curricula = CurriculumCache(fs_train, params)
         strategies = {tag: build_strategy(tag, curricula, batch_size, scale) for tag in tags}
@@ -173,13 +169,13 @@ def run_grid(
                 for seed in seeds:
                     keep = restrict_highly_noisy(cd, 1.0 if fraction is None else fraction, seed)
                     runs.append(_Run(run_tag, cd, schedule, seed, keep))
-        grid = _Grid(runs, fs_train, fs_test, arch=arch, hidden_dim=hidden_dim, topk=topk,
-                     batch_log=batch_log)
+        grid = _Grid(runs, fs_train, fs_test, arch=arch, hidden_dim=hidden_dim, topk=topk)
         workers = min(_usable_cores(), sum(not c for c in grid.children))
-        if workers <= 1 or not capped or not hasattr(os, "fork"):
-            yield from grid.train_serially()
-        else:
-            yield from grid.train_in_pool(workers)
+        serial = workers <= 1 or not capped or not hasattr(os, "fork")
+        results = grid.train_serially() if serial else grid.train_in_pool(workers)
+        for run, metrics in zip(runs, results):
+            yield metrics, (replay_batches(fs_train, run.cd, run.schedule, run.seed, run.keep)
+                            if batch_log else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +217,10 @@ class _Grid:
     """
 
     def __init__(self, runs: list[_Run], fs_train: FeatureSet, fs_test: FeatureSet, *,
-                 arch: str, hidden_dim: int, topk: int, batch_log: bool):
+                 arch: str, hidden_dim: int, topk: int):
         self.runs = runs
         self.fs_train, self.fs_test = fs_train, fs_test
         self.arch, self.hidden_dim, self.topk = arch, hidden_dim, topk
-        self.batch_log = batch_log
         self.segments: list[_Segment] = []
         self.last = [0] * len(runs)  # each run's last segment
         plans = [spans(r.schedule) for r in runs]
@@ -282,35 +277,30 @@ class _Grid:
 
     def train_segment(
         self, i: int, state: TrainState | None
-    ) -> tuple[TrainState | None, RunMetrics, list | None]:
+    ) -> tuple[TrainState | None, RunMetrics]:
         """Train segment `i` from its parent's end `state` (None: a fresh
-        start); return the end state if a child segment needs it, the
-        metrics so far and the segment's own batch log."""
+        start); return its end state if a child needs it, and the metrics."""
         seg = self.segments[i]
         run = self.runs[seg.runs[0]]
         if state is None:
             state = TrainState.start(self.fs_train, run.seed, self.arch, self.hidden_dim)
-        log = [] if self.batch_log else None
         _, metrics = train(run.tag, self.fs_train, self.fs_test, run.cd, run.schedule, run.seed,
-                           topk=self.topk, batch_log=log, include_mask=run.keep,
-                           state=state, stop=seg.stop)
-        return (state if self.children[i] else None), metrics, log
+                           topk=self.topk, include_mask=run.keep, state=state, stop=seg.stop)
+        return (state if self.children[i] else None), metrics
 
-    def result(self, run: int, done: dict) -> tuple[RunMetrics, list | None]:
-        """Run `run`'s metrics and batch log from its segments' results in
-        `done`, then forget the segments no later run needs."""
+    def result(self, run: int, done: dict) -> RunMetrics:
+        """Run `run`'s metrics from its last segment's result in `done`, then
+        forget the segments no later run needs."""
         path = self.path(run)
-        leaf = self.segments[path[-1]]
         metrics = done[path[-1]][1]
-        if run != leaf.runs[0]:
+        if run != self.segments[path[-1]].runs[0]:
             metrics = replace(metrics, strategy=self.runs[run].tag)
-        log = [entry for i in path for entry in done[i][2]] if self.batch_log else None
         for i in path:
             if self.segments[i].runs[-1] == run:
                 del done[i]
-        return metrics, log
+        return metrics
 
-    def train_serially(self) -> Iterator[tuple[RunMetrics, list | None]]:
+    def train_serially(self) -> Iterator[RunMetrics]:
         """Train in this process, each run's own segments at its turn."""
         done: dict[int, tuple] = {}
         for run in range(len(self.runs)):
@@ -322,7 +312,7 @@ class _Grid:
                     done[i] = self.train_segment(i, start)
             yield self.result(run, done)
 
-    def train_in_pool(self, workers: int) -> Iterator[tuple[RunMetrics, list | None]]:
+    def train_in_pool(self, workers: int) -> Iterator[RunMetrics]:
         """Train in forked workers; a segment is submitted when its parent's
         end state arrives, and a failed segment is raised at the turn of the
         first run through it."""

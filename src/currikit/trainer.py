@@ -12,6 +12,7 @@ fully deterministic for a given seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -172,7 +173,7 @@ class ClassifierModel:
 
     def loss_and_grads(
         self, z: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-        out: dict[str, np.ndarray] | None = None,
+        out: dict[str, np.ndarray],
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean weighted cross-entropy and its parameter gradients.
 
@@ -180,26 +181,25 @@ class ClassifierModel:
         space, as :meth:`standardize` returns them; the trainer standardizes
         its training matrix once per run and passes row slices of it. The
         gradients are written into `out`, arrays shaped like the parameters
-        under the same names, or into new arrays.
+        under the same names, which are returned.
         """
         p = self.params
-        grads = {k: np.empty_like(v) for k, v in p.items()} if out is None else out
         if self.arch == "linear":
             loss, g = _weighted_ce_(self.logits(z), labels, weights)
-            np.matmul(z.T, g, out=grads["W"])
-            g.sum(axis=0, out=grads["b"])
-            return loss, grads
+            np.matmul(z.T, g, out=out["W"])
+            g.sum(axis=0, out=out["b"])
+            return loss, out
         hidden = _affine(z, p["W1"], p["b1"])
         active = hidden > 0.0
         np.maximum(hidden, 0.0, out=hidden)
         loss, g = _weighted_ce_(_affine(hidden, p["W2"], p["b2"]), labels, weights)
         g_hidden = g @ p["W2"].T
         g_hidden *= active
-        np.matmul(z.T, g_hidden, out=grads["W1"])
-        g_hidden.sum(axis=0, out=grads["b1"])
-        np.matmul(hidden.T, g, out=grads["W2"])
-        g.sum(axis=0, out=grads["b2"])
-        return loss, grads
+        np.matmul(z.T, g_hidden, out=out["W1"])
+        g_hidden.sum(axis=0, out=out["b1"])
+        np.matmul(hidden.T, g, out=out["W2"])
+        g.sum(axis=0, out=out["b2"])
+        return loss, out
 
 
 def _momentum_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
@@ -349,6 +349,20 @@ class TrainState:
         return TrainState(0, model, velocity, component_rng(seed, "batches"), [])
 
 
+def replay_batches(fs_train: FeatureSet, cd: CurriculumDesign, schedule: list[StageSpec],
+                   seed: int, include_mask: np.ndarray | None = None) -> Iterator[tuple]:
+    """(iteration, stage index, level counts, stage loss weights) of each
+    batch that :func:`train` draws for this run, from the same sampler and
+    stream but without a model, which a run's batches never depend on."""
+    sampler = CurriculumSampler(cd, fs_train, include_mask)
+    rng = component_rng(seed, "batches")
+    for start, end, stage, _ in spans(schedule):
+        for iteration in range(start, end):
+            batch = sampler.next_batch(stage, rng)
+            yield (iteration, stage.stage_index, batch.level_counts(sampler.n_levels),
+                   stage.loss_weights)
+
+
 def train(
     strategy_tag: str,
     fs_train: FeatureSet,
@@ -361,7 +375,6 @@ def train(
     hidden_dim: int = 32,
     topk: int = 5,
     eval_every: int | None = None,
-    batch_log: list | None = None,
     include_mask: np.ndarray | None = None,
     state: TrainState | None = None,
     stop: int | None = None,
@@ -373,10 +386,9 @@ def train(
     (default: a tenth of the run) and at the final iteration; each point
     records the mean weighted loss over the current stage's sample pool and
     the test errors; the final point's ranking of the test set also gives
-    the per-category accuracies. If `batch_log` is a list, a (iteration, stage,
-    level_counts, stage loss weights per level) tuple is appended per batch. `include_mask`
-    removes samples from the sampling pools without changing the dataset
-    (and therefore without changing input standardization).
+    the per-category accuracies. `include_mask` removes samples from the
+    sampling pools without changing the dataset (and therefore without
+    changing input standardization).
 
     A run is one segment from a fresh start to the end, which first logs
     its stages' pick moves off empty levels (:func:`report_moves`). Given a
@@ -437,11 +449,6 @@ def train(
     for _, end, stage, lr in spans(schedule):
         while iteration < min(end, stop):
             batch = sampler.next_batch(stage, rng)
-            if batch_log is not None:
-                batch_log.append(
-                    (iteration, stage.stage_index, batch.level_counts(sampler.n_levels),
-                     stage.loss_weights)
-                )
             loss, _ = model.loss_and_grads(
                 train_z[batch.indices], train_y[batch.indices], batch.weights, out=grads
             )

@@ -127,6 +127,24 @@ class TestTrain:
         assert lines[0] == "iteration,level_counts,weights"
         assert lines[1] == "0,16;0;0,1.0;0.5;0.5"
 
+    @pytest.mark.parametrize("extra", [
+        ["--strategies", "A,B,C,D"],
+        ["--noisy-fraction", "0,100"],  # fraction 0 moves stage 2's level-2 picks
+    ], ids=["grid", "sweep"])
+    def test_batch_log_changes_nothing_else(self, workspace, extra):
+        seen = []
+        for log in ([], ["--batch-log"]):
+            r = run_cli(TRAIN + extra + ["--seeds", "0,1", *log, "--out-dir", "out"],
+                        cwd=workspace)
+            assert r.returncode == 0, r.stderr
+            out = workspace / "out"
+            seen.append(({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                          if not f.name.startswith("batches_")}, r.stdout, r.stderr))
+            assert any(out.glob("batches_*.csv")) == bool(log)
+            shutil.rmtree(out)
+        assert seen[0] == seen[1]
+        assert len(seen[0][0]) == (2 if extra[0] == "--noisy-fraction" else 10)
+
     def test_sweep_batch_log(self, workspace):
         r = run_cli(TRAIN + ["--noisy-fraction", "0,100", "--batch-log", "--out-dir", "."],
                     cwd=workspace)
@@ -219,7 +237,13 @@ class TestTrain:
         ("--noisy-fraction", "x", "--noisy-fraction 'x' is not a list of percentages; "
                                   "give a comma list such as 0,25,50,75,100"),
         ("--seeds", "2..1", "at least one seed is required"),
-    ], ids=["open-range", "seed-word", "fraction-word", "empty-range"])
+        ("--noisy-fraction", "0,150", "--noisy-fraction '0,150' holds 150; percentages lie "
+                                      "in [0, 100]"),
+        ("--noisy-fraction", "-5", "--noisy-fraction '-5' holds -5; percentages lie in [0, 100]"),
+        ("--noisy-fraction", "nan", "--noisy-fraction 'nan' holds nan; percentages lie in "
+                                    "[0, 100]"),
+    ], ids=["open-range", "seed-word", "fraction-word", "empty-range", "fraction-over-100",
+            "fraction-negative", "fraction-nan"])
     def test_malformed_list_exit_1(self, workspace, flag, text, message):
         r = run_cli(TRAIN + [flag, text, "--out-dir", "out"], cwd=workspace)
         assert r.returncode == 1, r.stderr

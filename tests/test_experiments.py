@@ -2,6 +2,7 @@ import logging
 import os
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,15 @@ from currikit.experiments import (
     summarize,
 )
 from currikit import trainer
-from currikit.trainer import ClassifierModel, TrainingDiverged, holdout_split, train
+from currikit.schedule import CurriculumSampler
+from currikit.trainer import (
+    ClassifierModel,
+    TrainState,
+    TrainingDiverged,
+    holdout_split,
+    replay_batches,
+    train,
+)
 
 PLANT = dict(n_categories=10, per_category=200, n_features=32,
              clean_frac=0.60, cross_frac=0.25, uniform_frac=0.15, blob_sigma=2.0)
@@ -231,8 +240,32 @@ SHARE_SCALE = 0.0005
 ABLATION = ["ModelA", "ModelB", "ModelC", "ModelD", "ModelD_kmeans"]
 
 
+@contextmanager
+def recorded_draws():
+    """Record each batch that any CurriculumSampler draws in the block, in
+    draw order, as (stage index, level counts, loss weights, row indices)."""
+    draws = []
+    next_batch = CurriculumSampler.next_batch
+
+    def recorded(self, stage, rng):
+        batch = next_batch(self, stage, rng)
+        draws.append((stage.stage_index, batch.level_counts(self.n_levels),
+                      stage.loss_weights, batch.indices.tolist()))
+        return batch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CurriculumSampler, "next_batch", recorded)
+        yield draws
+
+
+def as_batch_log(draws):
+    """The batch log of one run's recorded draws, from iteration 0."""
+    return [(iteration, *draw[:3]) for iteration, draw in enumerate(draws)]
+
+
 def _independent_runs(split, tags, seeds, fractions=None, scale=SHARE_SCALE, **options):
-    """Each run of the grid from its own train call: (metrics dict, batch log)."""
+    """Each run of the grid from its own train call: (metrics dict, batch
+    log of the batches the call drew)."""
     fs_train, _, fs_test = split
     cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
     out = []
@@ -242,16 +275,16 @@ def _independent_runs(split, tags, seeds, fractions=None, scale=SHARE_SCALE, **o
             run_tag = tag if fraction is None else f"{tag}@hn={fraction:g}"
             for seed in seeds:
                 keep = None if fraction is None else restrict_highly_noisy(cd, fraction, seed)
-                log = []
-                _, m = train(run_tag, fs_train, fs_test, cd, schedule, seed,
-                             batch_log=log, include_mask=keep, **options)
-                out.append((m.to_dict(), log))
+                with recorded_draws() as draws:
+                    _, m = train(run_tag, fs_train, fs_test, cd, schedule, seed,
+                                 include_mask=keep, **options)
+                out.append((m.to_dict(), as_batch_log(draws)))
     return out
 
 
 def _grid_runs(split, tags, seeds, fractions=None, scale=SHARE_SCALE, **options):
     fs_train, _, fs_test = split
-    return [(m.to_dict(), log) for m, log in run_grid(
+    return [(m.to_dict(), list(log)) for m, log in run_grid(
         tags, seeds, fs_train, fs_test, CurriculumParams(seed=0), fractions=fractions,
         scale=scale, batch_log=True, **options)]
 
@@ -362,6 +395,31 @@ class TestSharedPrefixes:
                 _grid_runs(split, tags, [0], scale=0.001)
         assert str(independent.value).startswith("ModelB seed 0: non-finite loss at iteration 10")
         assert str(grid.value) == str(independent.value)
+
+
+class TestReplay:
+    def test_replay_equals_draws_of_resumed_run(self, split, monkeypatch):
+        # A sweep keep-mask over a curriculum whose level 1 is empty, so
+        # stages 1 and 2 move picks; the run stops in the middle of stage 1
+        # and goes on from its state.
+        fs_train, _, fs_test = split
+        _level_one_moved_up(monkeypatch)
+        cache = CurriculumCache(fs_train, CurriculumParams(seed=0))
+        cd, schedule = build_strategy("ModelD", cache, 64, SHARE_SCALE)
+        keep = restrict_highly_noisy(cd, 0.5, 1)
+        assert not (cd.levels == 1).any() and not keep[cd.levels == 2].all()
+        mid = schedule[0].iterations + schedule[1].iterations // 2
+        state = TrainState.start(fs_train, 1)
+        with recorded_draws() as drawn:
+            train("ModelD", fs_train, fs_test, cd, schedule, 1, include_mask=keep,
+                  state=state, stop=mid)
+            assert len(drawn) == state.iteration == mid
+            train("ModelD", fs_train, fs_test, cd, schedule, 1, include_mask=keep, state=state)
+        assert len(drawn) == sum(s.iterations for s in schedule)
+        with recorded_draws() as replayed:
+            log = list(replay_batches(fs_train, cd, schedule, 1, keep))
+        assert log == as_batch_log(drawn)
+        assert replayed == drawn
 
 
 @pytest.fixture(scope="module")

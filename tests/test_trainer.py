@@ -26,6 +26,7 @@ from currikit.trainer import (
     _stage_pool_loss,
     evaluate,
     holdout_split,
+    replay_batches,
     top_k_predictions,
     train,
 )
@@ -81,6 +82,11 @@ class TestWeightedCeLoss:
         assert math.isfinite(loss) and loss > 20
 
 
+def grads_like(params):
+    """New arrays shaped like `params`, for the gradients under the same names."""
+    return {name: np.empty_like(value) for name, value in params.items()}
+
+
 class TestModelGradients:
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_param_gradients_match_finite_differences(self, arch):
@@ -91,12 +97,12 @@ class TestModelGradients:
             x = rng.standard_normal((b, d))
             y = rng.integers(0, c, b)
             w = rng.uniform(0.25, 1.5, b)
-            _, grads = model.loss_and_grads(x, y, w)
+            _, grads = model.loss_and_grads(x, y, w, out=grads_like(model.params))
             for name in model.params:
                 def loss_of(p, name=name):
                     old = model.params[name]
                     model.params[name] = p
-                    val = model.loss_and_grads(x, y, w)[0]
+                    val = model.loss_and_grads(x, y, w, out=grads_like(model.params))[0]
                     model.params[name] = old
                     return val
 
@@ -108,8 +114,8 @@ class TestModelGradients:
         model = ClassifierModel.initialize("linear", 4, 3, rng)
         x = rng.standard_normal((1, 4))
         y = np.array([1])
-        _, g1 = model.loss_and_grads(x, y, np.array([1.0]))
-        _, g2 = model.loss_and_grads(x, y, np.array([2.0]))
+        _, g1 = model.loss_and_grads(x, y, np.array([1.0]), out=grads_like(model.params))
+        _, g2 = model.loss_and_grads(x, y, np.array([2.0]), out=grads_like(model.params))
         for name in g1:
             assert np.array_equal(g2[name], 2.0 * g1[name])
 
@@ -164,7 +170,7 @@ class TestInPlaceKernels:
         loss, grads = alloc_loss_and_grads(model.arch, params, z, labels, weights)
         out = dict(model.params)
         _flatten(out)
-        for got_loss, got in (model.loss_and_grads(z, labels, weights),
+        for got_loss, got in (model.loss_and_grads(z, labels, weights, out=grads_like(params)),
                               model.loss_and_grads(z, labels, weights, out=out)):
             assert bits(got_loss) == bits(loss)
             assert sorted(got) == sorted(grads)
@@ -193,7 +199,7 @@ class TestInPlaceKernels:
         g = _flatten(grads)
         for lr in rates:
             model.params = params
-            _, expected = model.loss_and_grads(z, labels, weights)
+            _, expected = model.loss_and_grads(z, labels, weights, out=grads_like(params))
             alloc_momentum_step(params, velocity, expected, lr)
             model.params = flat_params
             model.loss_and_grads(z, labels, weights, out=grads)
@@ -300,11 +306,10 @@ def planted_split():
 
 class TestTrain:
     def test_model_b_sees_only_clean(self):
-        tr, _, te = planted_split()
+        tr, _, _ = planted_split()
         cd = design_curriculum(tr, CurriculumParams(seed=2))
         schedule = default_schedule(16, 0.0001, n_stages=1)
-        log = []
-        train("ModelB", tr, te, cd, schedule, 0, batch_log=log)
+        log = list(replay_batches(tr, cd, schedule, 0))
         assert log, "batch log should not be empty"
         for _, _, counts, weights in log:
             assert counts[1] == counts[2] == 0
