@@ -109,6 +109,12 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
+def _seed(value: int, option: str) -> int:
+    if value < 0:
+        raise ValueError(f"{option} {value} is negative; seeds are non-negative integers")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         percents = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -134,6 +140,7 @@ def _nan_to_none(x: float):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    seed = _seed(args.seed, "--seed")
     cfg = SynthConfig(
         n_categories=int(args.categories),
         per_category=int(args.per_category),
@@ -143,7 +150,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         uniform_frac=float(args.uniform_frac),
         blob_sigma=float(args.blob_sigma),
         box_margin_sigmas=float(args.box_margin),
-        seed=int(args.seed),
+        seed=seed,
     )
     fs, truth = generate_synthetic(cfg)
     out_dir = Path(args.out_dir)
@@ -168,12 +175,13 @@ def _load_features_arg(args: argparse.Namespace):
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
+    seed = _seed(args.seed, "--seed")
     fs = _load_features_arg(args)
     params = CurriculumParams(
         k_percent=float(args.k_percent),
         n_subsets=int(args.subsets),
         kmeans_max_iters=int(args.kmeans_max_iters),
-        seed=int(args.seed),
+        seed=seed,
     )
     cd = design(fs, params, args.method)
     out = Path(args.out_dir) / args.out_name
@@ -217,6 +225,8 @@ def _run_file_tag(tag: str) -> str:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    split_seed = _seed(args.split_seed, "--split-seed")
+    design_seed = _seed(args.design_seed, "--design-seed")
     fs = _load_features_arg(args)
     truth_ids, truth = load_truth(args.truth)
     if len(truth) != fs.n_samples:
@@ -228,11 +238,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 f"has {feature_id!r}; truth rows must list the feature ids in order"
             )
     seeds = _seed_list(args.seeds)
-    fs_train, _, fs_test = holdout_split(fs, truth, args.test_frac, args.split_seed)
+    fs_train, _, fs_test = holdout_split(fs, truth, args.test_frac, split_seed)
     params = CurriculumParams(
         k_percent=float(args.k_percent),
         kmeans_max_iters=int(args.kmeans_max_iters),
-        seed=int(args.design_seed),
+        seed=design_seed,
     )
     if args.noisy_fraction:
         tags = ["ModelD"]

@@ -394,6 +394,21 @@ class TestMalformedInputs:
         assert "currikit: error: truth.csv: row 2: label 'zz' is not an integer" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["synth", "--seed", "-1"],
+        ["design", "--features", "missing.bin", "--seed", "-3"],
+        ["train", "--features", "missing.bin", "--truth", "missing.csv", "--split-seed", "-2"],
+        ["train", "--features", "missing.bin", "--truth", "missing.csv", "--design-seed", "-4"],
+    ], ids=["synth-seed", "design-seed", "train-split-seed", "train-design-seed"])
+    def test_negative_seed_option_exit_1(self, tmp_path, monkeypatch, capsys, args):
+        # Rejected before any work: the missing input files are never opened.
+        monkeypatch.chdir(tmp_path)
+        assert main(args + ["--out-dir", "out"]) == 1
+        option = " ".join(args[-2:])
+        err = capsys.readouterr().err
+        assert err == f"currikit: error: {option} is negative; seeds are non-negative integers\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("reader", ["features", "truth", "reference"])
     def test_csv_cell_over_field_limit_exit_1(self, workspace, reader):
         # csv.field_size_limit() is 131072 characters by default; the csv

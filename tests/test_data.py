@@ -261,6 +261,57 @@ def test_csv_writer_cells_match_reference(block_values, features):
         assert line.split(",") == [f"e{i}", "0", *(data._format_f32(v) for v in row)]
 
 
+def assert_block_prints_format_f32(block: np.ndarray) -> None:
+    """data._csv_block writes each row of `block` as _format_f32's cells."""
+    prefixes = [f"r{i},{i % 3},".encode() for i in range(len(block))]
+    lines = data._csv_block(block, prefixes).decode().split("\n")
+    assert lines[-1] == ""
+    assert len(lines) == len(block) + 1
+    for i, (line, row) in enumerate(zip(lines, block)):
+        assert line.split(",") == [f"r{i}", str(i % 3), *(data._format_f32(v) for v in row)]
+
+
+# The exponent fields the kernel prints with integer arithmetic, 2**-13 <= |v| < 2**23.
+EXACT = range(data._EXACT_FIELDS[0], data._EXACT_FIELDS[1] + 1)
+
+
+@pytest.mark.parametrize("block_values", [1, 5, data.CSV_BLOCK_VALUES])
+@settings(max_examples=15, deadline=None)
+@given(drawn=st.lists(F32_VALUES, min_size=1, max_size=40), d=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_block_cells_match_format_f32(block_values, drawn, d, seed):
+    """Blocks of the writer's sizes: drawn bit patterns and edges, then random
+    values whose exponents reach a little past both ends of the exact path."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, block_values // d)
+    sign = rng.integers(0, 2, rows * d, dtype=np.uint32) << 31
+    field = rng.integers(EXACT[0] - 3, EXACT[-1] + 4, rows * d, dtype=np.uint32) << 23
+    values = (sign | field | rng.integers(0, 2**23, rows * d, dtype=np.uint32)).view(np.float32)
+    values[rng.permutation(rows * d)[: len(drawn)]] = drawn[: rows * d]
+    assert_block_prints_format_f32(values.reshape(rows, d))
+
+
+def test_csv_block_dense_runs():
+    """1024 consecutive float32 values around every power of two from 2**-14
+    to 2**24, both signs: both ends of the exact path with their neighbours,
+    each power itself, where Dragon4's lower margin is half as wide, and whole
+    numbers up to 16777216. Then zeros, subnormals, whole numbers such as
+    1200000 and cells with nine significant digits."""
+    assert (2.0**(EXACT[0] - 127), 2.0**(EXACT[-1] - 126)) == (2.0**-13, 2.0**23)
+    bits = np.arange(-512, 512) + (np.arange(EXACT[0] - 1, EXACT[-1] + 3)[:, None] << 23)
+    runs = bits.astype(np.uint32).ravel().view(np.float32)
+    nine = ["13.2696295", "0.107705094", "15.1090355", "0.000117875315"]
+    assert [data._format_f32(np.float32(text)) for text in nine] == nine
+    finfo = np.finfo(np.float32)
+    extra = np.array([0.0, finfo.smallest_subnormal, finfo.smallest_normal * 0.75,
+                      finfo.smallest_normal, 10.0, 100.0, 1200000.0, 4194310.0, 8388600.0,
+                      16777216.0, 0.1, 0.5, 1.0, *nine], dtype=np.float32)
+    values = np.concatenate([runs, extra])
+    values = np.concatenate([values, -values])
+    assert_block_prints_format_f32(values[: len(values) // 7 * 7].reshape(-1, 7))
+    assert_block_prints_format_f32(values.reshape(-1, 1))
+
+
 class TestCsvFormat:
     def test_round_trip_default_names(self, tmp_path):
         rng = np.random.default_rng(11)

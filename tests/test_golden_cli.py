@@ -85,6 +85,27 @@ def test_synth_csv(tmp_path, monkeypatch, capsys):
     assert _sha(capsys.readouterr().out.encode()) == SYNTH_CSV_STDOUT
 
 
+def test_synth_csv_outside_exact_path(tmp_path, monkeypatch, capsys):
+    # Blobs of sigma 3e7 and a uniform box 1000 sigmas wide: 1,072 of the
+    # 1,280 cells lie at or above 2**23, past the csv writer's integer path,
+    # and are printed one by one. Recorded before that path existed.
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out-dir", ".", "--format", "csv", "--categories", "4",
+                 "--per-category", "40", "--dim", "8", "--seed", "5", "--blob-sigma", "3e7",
+                 "--box-margin", "1000"]) == 0
+    files = {p.name: _sha(p.read_bytes()) for p in sorted(tmp_path.iterdir())}
+    assert files == SYNTH_CSV_WIDE_FILES
+    assert _sha(capsys.readouterr().out.encode()) == SYNTH_CSV_WIDE_STDOUT
+
+
+SYNTH_CSV_WIDE_FILES = {
+    "features.csv":
+        "d94b0bf613af48eb1c47fd70daf2e830bcbc03d8c8dc61d059d86b124b5cafbd",
+    "truth.csv":
+        "8503ef3438b1405a0251c0cd2b926f5020f232f756185018741a70082484c191",
+}
+SYNTH_CSV_WIDE_STDOUT = (
+    "b13bdc7c8dae7008966814b7e7a2b2cfe3c0e30ffae879d0efc214276a30a14d")
 SYNTH_CSV_FILES = {
     "features.csv":
         "ff1ce62d7f50dc397107c7642b3989ba1b172e1bb43db045ecdb7799c1a249d2",
