@@ -338,18 +338,29 @@ def curriculum_to_json(cd: CurriculumDesign) -> str:
         '"kmeans_max_iters": %d, "seed": %d}, "categories": ['
         % (CURRICULUM_VERSION, _fmt_exact(p.k_percent), p.n_subsets, p.kmeans_max_iters, p.seed)
     ]
-    for c in range(cd.n_categories):
+    # Each category's samples in their order: a run of the stable sort.
+    order = np.argsort(cd.categories, kind="stable")
+    cats = np.arange(cd.n_categories)
+    lo, hi = (np.searchsorted(cd.categories[order], cats, side).tolist()
+              for side in ("left", "right"))
+    order = order.tolist()
+    if not (np.isfinite(cd.dist_to_center).all() and np.isfinite(cd.d_c).all()):
+        for c in cats.tolist():  # raise on the first in output order
+            for i in order[lo[c]:hi[c]]:
+                _fmt_float(cd.dist_to_center[i])
+            _fmt_float(cd.d_c[c])
+    ids, levels, dists = cd.sample_ids, cd.levels.tolist(), cd.dist_to_center.tolist()
+    for c, d_c in enumerate(cd.d_c.tolist()):
         if c:
             out.append(", ")
-        idx = np.flatnonzero(cd.categories == c)
         samples = ", ".join(
             '{"id": %s, "level": %d, "dist": %s}'
-            % (json.dumps(cd.sample_ids[i]), cd.levels[i], _fmt_float(cd.dist_to_center[i]))
-            for i in idx
+            % (json.dumps(ids[i]), levels[i], _fmt_float(dists[i]))
+            for i in order[lo[c]:hi[c]]
         )
         out.append(
             '{"category_id": %d, "center_id": %s, "d_c": %s, "samples": [%s]}'
-            % (c, json.dumps(cd.center_ids[c]), _fmt_float(cd.d_c[c]), samples)
+            % (c, json.dumps(cd.center_ids[c]), _fmt_float(d_c), samples)
         )
     out.append("]}")
     return "".join(out)

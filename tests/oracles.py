@@ -8,6 +8,7 @@ convenient forms of library data and of one library kernel.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -271,3 +272,24 @@ def reference_from_truth(fs, truth) -> dict[str, int]:
 def index_of(fs) -> dict[str, int]:
     """Each sample id of `fs` with its row."""
     return {sid: i for i, sid in enumerate(fs.sample_ids)}
+
+
+def categories_json(cd) -> str:
+    """The ``"categories"`` list of a curriculum file's text, written one
+    category at a time over ``np.flatnonzero``; the first value that is not
+    finite, in the order written, raises ValueError naming it."""
+    def number(x) -> str:
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite value {x!r}")
+        return format(float(x), ".9g")
+
+    out = []
+    for c in range(len(cd.center_ids)):
+        samples = ", ".join(
+            '{"id": %s, "level": %d, "dist": %s}'
+            % (json.dumps(cd.sample_ids[i]), cd.levels[i], number(cd.dist_to_center[i]))
+            for i in np.flatnonzero(cd.categories == c)
+        )
+        out.append('{"category_id": %d, "center_id": %s, "d_c": %s, "samples": [%s]}'
+                   % (c, json.dumps(cd.center_ids[c]), number(cd.d_c[c]), samples))
+    return '"categories": [' + ", ".join(out) + "]}"

@@ -24,6 +24,7 @@ from currikit.data import (
 from currikit.schedule import CurriculumSampler
 from oracles import (
     brute_cutoff,
+    categories_json,
     brute_local_density,
     index_of,
     literal_delta,
@@ -236,6 +237,36 @@ class TestSerialization:
         back = curriculum_from_json(text)
         assert back.params.k_percent == k_percent
         assert curriculum_to_json(back) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           bad=st.lists(st.tuples(st.sampled_from(["dist", "d_c", "category"]),
+                                  st.integers(0, 35), st.sampled_from([np.nan, np.inf])),
+                        max_size=3))
+    def test_json_matches_per_category_loop(self, seed, bad):
+        """Categories interleaved in row order, samples of no category, and
+        non-finite distances: the text of a per-category loop, or its error
+        for the first value that is not finite in the order written."""
+        fs, _ = generate_synthetic(SynthConfig(3, 12, 4, 0.6, 0.25, 0.15, seed=6))
+        fs = fs.take(np.random.default_rng(seed).permutation(fs.n_samples))
+        cd = design_curriculum(fs, CurriculumParams())
+        fields = {"dist": cd.dist_to_center.copy(), "d_c": cd.d_c.copy(),
+                  "category": cd.categories.copy()}
+        for name, i, value in bad:
+            if name == "category":
+                fields[name][i] = 3  # written under no category
+            else:
+                fields[name][i % fields[name].size] = value
+        cd = replace(cd, dist_to_center=fields["dist"], d_c=fields["d_c"],
+                     categories=fields["category"])
+        try:
+            expected = categories_json(cd)
+        except ValueError as exc:
+            with pytest.raises(CurriculumError) as caught:
+                curriculum_to_json(cd)
+            assert str(caught.value) == str(exc)
+            return
+        assert curriculum_to_json(cd).endswith(expected)
 
     def test_version_mismatch(self):
         with pytest.raises(CurriculumError, match="version"):

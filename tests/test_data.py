@@ -1,4 +1,8 @@
+import contextlib
 import csv
+import decimal
+import math
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -7,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from currikit import data
+from currikit import csvtext, data
 from currikit.data import (
     FORMATS,
     DatasetError,
@@ -258,21 +262,21 @@ def test_csv_writer_cells_match_reference(block_values, features):
     assert lines[-1] == ""
     assert len(lines) == len(features) + 2
     for i, (line, row) in enumerate(zip(lines[1:], features)):
-        assert line.split(",") == [f"e{i}", "0", *(data._format_f32(v) for v in row)]
+        assert line.split(",") == [f"e{i}", "0", *(csvtext._format_f32(v) for v in row)]
 
 
 def assert_block_prints_format_f32(block: np.ndarray) -> None:
-    """data._csv_block writes each row of `block` as _format_f32's cells."""
+    """csvtext._csv_block writes each row of `block` as _format_f32's cells."""
     prefixes = [f"r{i},{i % 3},".encode() for i in range(len(block))]
-    lines = data._csv_block(block, prefixes).decode().split("\n")
+    lines = csvtext._csv_block(block, prefixes).decode().split("\n")
     assert lines[-1] == ""
     assert len(lines) == len(block) + 1
     for i, (line, row) in enumerate(zip(lines, block)):
-        assert line.split(",") == [f"r{i}", str(i % 3), *(data._format_f32(v) for v in row)]
+        assert line.split(",") == [f"r{i}", str(i % 3), *(csvtext._format_f32(v) for v in row)]
 
 
 # The exponent fields the kernel prints with integer arithmetic, 2**-13 <= |v| < 2**23.
-EXACT = range(data._EXACT_FIELDS[0], data._EXACT_FIELDS[1] + 1)
+EXACT = range(csvtext._EXACT_FIELDS[0], csvtext._EXACT_FIELDS[1] + 1)
 
 
 @pytest.mark.parametrize("block_values", [1, 5, data.CSV_BLOCK_VALUES])
@@ -301,7 +305,7 @@ def test_csv_block_dense_runs():
     bits = np.arange(-512, 512) + (np.arange(EXACT[0] - 1, EXACT[-1] + 3)[:, None] << 23)
     runs = bits.astype(np.uint32).ravel().view(np.float32)
     nine = ["13.2696295", "0.107705094", "15.1090355", "0.000117875315"]
-    assert [data._format_f32(np.float32(text)) for text in nine] == nine
+    assert [csvtext._format_f32(np.float32(text)) for text in nine] == nine
     finfo = np.finfo(np.float32)
     extra = np.array([0.0, finfo.smallest_subnormal, finfo.smallest_normal * 0.75,
                       finfo.smallest_normal, 10.0, 100.0, 1200000.0, 4194310.0, 8388600.0,
@@ -450,6 +454,238 @@ def test_csv_reader_errors(tmp_path, reader, case):
     with pytest.raises(DatasetError) as caught:
         load(path)
     assert str(caught.value) == message
+
+
+# The feature readers read a file in blocks, and hand any file they cannot
+# show they read as the row loop (csv) or the cursor loop (binary) does to
+# that loop. The tests below load each file three ways: as load_features
+# does, through the loop alone, and, for a file the block reader must take,
+# with the loop patched to raise.
+LOOPS = {"csv": ("_csv_feature_blocks", "_csv_feature_rows"),
+         "binary": ("_binary_records", "_cursor_records")}
+
+
+def load_outcome(path, fmt, patch=None):
+    """The loaded FeatureSet's bits, or the type and text of what loading raised."""
+    with mock.patch.object(data, patch[0], **patch[1]) if patch else contextlib.nullcontext():
+        try:
+            fs = load_features(path, fmt)
+        except Exception as exc:  # compared between the readers
+            return type(exc).__name__, str(exc)
+    return (fs.features.shape, fs.features.tobytes(), fs.labels.tolist(), fs.sample_ids,
+            fs.category_names)
+
+
+def assert_block_reader_matches_loop(path, fmt, taken: bool) -> None:
+    blocks, loop = LOOPS[fmt]
+    outcome = load_outcome(path, fmt)
+    assert outcome == load_outcome(path, fmt, (blocks, {"return_value": None}))
+    if taken:
+        raising = (loop, {"side_effect": AssertionError(f"{loop} ran")})
+        assert load_outcome(path, fmt, raising) == outcome
+
+
+_EXACT = decimal.Context(prec=400)
+
+
+def halfway(bits: int) -> str:
+    """The exact decimal halfway between a float32 and the next one away from zero."""
+    lo, hi = np.array([bits, bits + 1], dtype=np.uint32).view(np.float32).tolist()
+    if not math.isfinite(hi):
+        hi = lo
+    return format(_EXACT.divide(_EXACT.add(decimal.Decimal(lo), decimal.Decimal(hi)), 2), "f")
+
+
+# 1 + 2**-24 + 2**-80: float32 1.0000001 when rounded once, 1.0 through a double.
+DOUBLE_ROUNDING = format(_EXACT.add(_EXACT.power(2, -24), _EXACT.add(1, _EXACT.power(2, -80))),
+                         "f")
+FINITE_F32_BITS = F32_BITS.filter(lambda bits: (bits >> 23) & 0xFF != 0xFF)
+# Cells the block reader never takes: csv quoting, text only Python's float
+# reads, padding (np.loadtxt alone reads "1.5\x1c"), values that are not
+# finite or not numbers, a NUL; and any text of the characters of decimals.
+ODD_FEATURE_CELLS = st.sampled_from([
+    '"1.5"', '"1,5"', "1_0", "١٢", " 1.5", "2.5 ", "\t3", "1.5\x1c", " 1", "inf", "-inf",
+    "nan", "NaN", "1e400", "-1e400", "", " ", "x", "0x1p3", "1e", "1\x00", "\x1f1"
+]) | st.text("0123456789.eE+-", max_size=8)
+# Labels as int() reads them, and labels it rejects.
+ODD_LABELS = [" 1", "+1", "1_0", "٣", "x", "", "-1", "1.0", '"1"']
+# Sample ids: any text without a comma, a quote or a line break; the odd ones
+# hold a quote or a NUL.
+ID_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\x00')
+ODD_IDS = ['"q"', 'a"b', "a\x00b"]
+
+
+@st.composite
+def feature_csv_files(draw):
+    """(text, csv field size limit, whether the block reader must take it).
+    Half the files draw no odd row or cell."""
+    d = draw(st.integers(1, 4))
+    limit = draw(st.sampled_from([csv.field_size_limit(), 24]))
+    may_be_odd = draw(st.booleans())
+    odd = False
+
+    def pick(odd_values, clean):
+        nonlocal odd
+        if may_be_odd and draw(st.integers(0, 9)) == 0:
+            odd = True
+            return draw(odd_values)
+        return draw(clean)
+
+    float_text = st.one_of(
+        F32_VALUES.map(lambda v: csvtext._format_f32(np.float32(v))),
+        st.floats(-3.4e38, 3.4e38).map(repr),  # doubles that round to a finite float32
+        F32_VALUES.map(lambda v: f"{v:.20e}"),
+        FINITE_F32_BITS.map(halfway),
+        st.just(DOUBLE_ROUNDING),
+    )
+    header = ",".join(["id", "label"] + [f"f{k}" for k in range(d)])
+    lines = [pick(st.just('"id"' + header[2:]), st.just(header))]
+    shapes = ["row"] * 6 + ["blank"] + ["spaces", "extra", "short"] * may_be_odd
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(shapes))
+        if shape in ("blank", "spaces"):
+            odd |= shape == "spaces"
+            lines.append("" if shape == "blank" else " ")
+            continue
+        cells = [pick(st.sampled_from(ODD_IDS), st.text(ID_CHARS, max_size=5)),
+                 pick(st.sampled_from(ODD_LABELS), st.integers(0, 3).map(str))]
+        cells += [pick(ODD_FEATURE_CELLS, float_text) for _ in range(d)]
+        if shape != "row":
+            odd = True
+            cells = cells + ["1.5"] if shape == "extra" else cells[:-1]
+        odd |= any(len(cell) > limit for cell in cells)
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), limit, not odd
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=feature_csv_files(), block_values=st.sampled_from([1, 5, data.CSV_BLOCK_VALUES]))
+def test_csv_block_reader_matches_row_loop(case, block_values):
+    """Random float32 text, decimals past double precision, halfway cases and
+    odd rows: the same FeatureSet bits or the same error as the row loop."""
+    text, limit, taken = case
+    saved = csv.field_size_limit(limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(data, "CSV_BLOCK_VALUES", block_values):
+            path = Path(tmp, "f.csv")
+            path.write_bytes(text.encode("utf-8"))
+            assert_block_reader_matches_loop(path, "csv", taken)
+    finally:
+        csv.field_size_limit(saved)
+
+
+HANDED_OFF = {
+    "loadtxt-only-padding": "a,0,1.5\x1c,2",
+    "python-only-digits": "a,0,1_0,١٢",
+    "overflow": "a,0,1e400,2",
+    "not-a-number": "a,0,nan,2",
+    "extra-cell": "a,0,1,2,3",
+    "short-row": "a,0,1",
+    "spaces-row": " ",
+    "quoted-id": '"a",0,1,2',
+    "nul-in-id": "a\x00,0,1,2",
+    "label-int-rejects": "a,x,1,2",
+    "over-field-limit": "x" * (csv.field_size_limit() + 1) + ",0,1,2",
+}
+
+
+@pytest.mark.parametrize("row", list(HANDED_OFF.values()), ids=list(HANDED_OFF))
+def test_csv_block_reader_hands_off(tmp_path, row):
+    """Files the block reader must leave to the row loop, each in every row."""
+    path = tmp_path / "f.csv"
+    path.write_text(f"id,label,f0,f1\n{row}\n{row.replace('a', 'b', 1)}\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        assert data._csv_feature_blocks(fh) is None
+    assert_block_reader_matches_loop(path, "csv", False)
+
+
+def binary_file(ids: list[bytes], labels: list[int], features: bytes, d: int, c: int) -> bytes:
+    head = struct.pack("<4sIIII", b"CRFS", 1, len(ids), d, c)
+    names = b"".join(struct.pack("<I", 1) + b"n" for _ in range(c))
+    rows = (struct.pack("<I", len(sid)) + sid + struct.pack("<I", label)
+            + features[4 * d * i : 4 * d * (i + 1)]
+            for i, (sid, label) in enumerate(zip(ids, labels)))
+    return head + names + b"".join(rows)
+
+
+BINARY_IDS = st.one_of(
+    st.text(FILE_TEXT, max_size=6).map(str.encode),  # ASCII and multi-byte UTF-8
+    st.text(FILE_TEXT, max_size=3).map(lambda s: (s + "\x00").encode()),
+    st.binary(max_size=6),  # often not UTF-8
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data_=st.data(), n=st.integers(1, 6), d=st.integers(1, 3), c=st.integers(1, 3))
+def test_binary_block_reader_matches_cursor_loop(data_, n, d, c):
+    """Mixed id lengths, ids ending in NUL, invalid UTF-8 at any row, a cut
+    anywhere and trailing bytes: the same FeatureSet bits or the same error
+    as the cursor loop."""
+    ids = data_.draw(st.lists(BINARY_IDS, min_size=n, max_size=n))
+    labels = data_.draw(st.lists(st.integers(0, c), min_size=n, max_size=n))
+    bits = data_.draw(st.lists(F32_BITS, min_size=n * d, max_size=n * d))
+    raw = binary_file(ids, labels, np.array(bits, dtype="<u4").tobytes(), d, c)
+    cut = data_.draw(st.sampled_from(["none", "truncate", "trailing"]))
+    if cut == "truncate":
+        raw = raw[: data_.draw(st.integers(0, len(raw) - 1))]
+    elif cut == "trailing":
+        raw += data_.draw(st.binary(min_size=1, max_size=9))
+    taken = cut == "none" and all(_is_utf8(sid) for sid in ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "f.bin")
+        path.write_bytes(raw)
+        assert_block_reader_matches_loop(path, "binary", taken)
+
+
+def _is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def test_binary_block_reader_every_truncation(tmp_path):
+    """A file with ids of 0 to 9 bytes, multi-byte UTF-8 and a trailing NUL,
+    cut at every offset and with trailing bytes."""
+    ids = ["", "a", "é\x00", "日本語", "s3" * 4 + "x"]
+    fs = FeatureSet(features=np.arange(10, dtype=np.float32).reshape(5, 2) / 3,
+                    labels=np.array([0, 1, 2, 1, 0]), sample_ids=ids,
+                    category_names=("x", "y", "z"))
+    save_features(fs, tmp_path / "f.bin", "binary")
+    raw = (tmp_path / "f.bin").read_bytes()
+    path = tmp_path / "cut.bin"
+    for end in range(len(raw) + 1):
+        path.write_bytes(raw[:end])
+        assert_block_reader_matches_loop(path, "binary", end == len(raw))
+    for extra in (b"\x00", b"\x01\x00\x00\x00", raw[-13:]):
+        path.write_bytes(raw + extra)
+        assert_block_reader_matches_loop(path, "binary", False)
+
+
+@pytest.mark.parametrize("limit", [None, 40], ids=["field-limit", "lines-over-field-limit"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_synth_files_are_read_in_blocks(tmp_path, fmt, limit):
+    """The files synth writes never reach the row loop or the cursor loop, so
+    a check that sent every file to the loops would fail here; neither do
+    lines longer than the csv field size limit whose cells are all shorter."""
+    fs, _ = generate_synthetic(SynthConfig(n_categories=3, per_category=200, n_features=64,
+                                           clean_frac=0.6, cross_frac=0.25,
+                                           uniform_frac=0.15, seed=3))
+    path = tmp_path / f"features.{fmt}"
+    save_features(fs, path, fmt)
+    saved = csv.field_size_limit(limit or csv.field_size_limit())
+    try:
+        with mock.patch.object(data, "_csv_feature_rows", side_effect=AssertionError("row loop")), \
+                mock.patch.object(data, "_cursor_records",
+                                  side_effect=AssertionError("cursor loop")):
+            assert load_features(path, fmt, fs.category_names) == fs
+    finally:
+        csv.field_size_limit(saved)
 
 
 BASE = dict(n_categories=10, per_category=200, n_features=8,
