@@ -35,6 +35,7 @@ from .seeding import component_rng
 
 MAGIC = b"CRFS"
 BINARY_VERSION = 1
+_U32 = struct.Struct("<I").unpack_from
 
 NOISE_CLEAN = "clean"
 NOISE_CROSS = "cross-label"
@@ -232,30 +233,6 @@ def _pack_str(text: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DatasetError(f"truncated file while reading {what}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.read(4, what))[0]
-
-    def string(self, what: str) -> str:
-        length = self.u32(what + " length")
-        raw = self.read(length, what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"invalid UTF-8 in {what}") from exc
-
-
 def _features_to_binary(fs: FeatureSet) -> bytes:
     buf = io.BytesIO()
     buf.write(MAGIC)
@@ -271,73 +248,73 @@ def _features_to_binary(fs: FeatureSet) -> bytes:
 
 
 def _features_from_binary(data: bytes) -> FeatureSet:
-    cur = _Cursor(data)
-    if cur.read(4, "magic") != MAGIC:
+    """The binary feature file `data`, read in one pass. An error names the
+    field, and the row, at which the file ends early or goes wrong."""
+    pos = 0
+
+    # Each reader takes a message template and the row (or category) it
+    # formats into it, so a message is built only when it is raised.
+    def skip(size: int, what: str, row: int | None = None) -> int:
+        nonlocal pos
+        if pos + size > len(data):
+            raise DatasetError("truncated file while reading " + what.format(row))
+        pos += size
+        return pos - size
+
+    def u32(what: str, row: int | None = None) -> int:
+        return _U32(data, skip(4, what, row))[0]
+
+    def string(what: str, row: int | None = None) -> str:
+        start = skip(u32(what + " length", row), what, row)
+        try:
+            return data[start:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DatasetError("invalid UTF-8 in " + what.format(row)) from None
+
+    skip(4, "magic")
+    if data[:4] != MAGIC:
         raise DatasetError("bad magic bytes: not a CRFS feature file")
-    version = cur.u32("version")
+    version = u32("version")
     if version != BINARY_VERSION:
         raise DatasetError(f"unsupported feature file version {version}")
-    n = cur.u32("sample count")
-    d = cur.u32("feature dimension")
-    c = cur.u32("category count")
+    n = u32("sample count")
+    d = u32("feature dimension")
+    c = u32("category count")
     if n < 1 or d < 1 or c < 1:
         raise DatasetError(f"invalid header counts N={n} d={d} C={c}")
-    names = tuple(cur.string(f"category name {i}") for i in range(c))
+    names = tuple(string("category name {}", i) for i in range(c))
     # Each record holds at least an id length, a label and d floats.
     needed = n * (8 + 4 * d)
-    if needed > len(data) - cur.pos:
+    if needed > len(data) - pos:
         raise DatasetError(
             f"truncated file: N={n} records at d={d} need at least {needed} bytes, "
-            f"{len(data) - cur.pos} remain"
+            f"{len(data) - pos} remain"
         )
-    records = _binary_records(data, cur.pos, n, d) or _cursor_records(cur, n, d)
-    return FeatureSet(*records, category_names=names)
-
-
-_ID_LENGTH = struct.Struct("<I")
-
-
-def _binary_records(
-    data: bytes, pos: int, n: int, d: int
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]] | None:
-    """(features, labels, ids) of the N records from `pos` on, or None unless
-    they fill the rest of `data` exactly and every id is UTF-8. One scan finds
-    each record; labels and features are then each one gather."""
+    # A record from `pos` with an id of `length` bytes fits in `data` when
+    # pos + length <= last, and pos <= last keeps its length inside `data`.
+    # One that does not fit is read field by field, which raises at the first
+    # field that is cut short or not UTF-8.
+    last = len(data) - 8 - 4 * d
     ids, starts = [], []
-    try:
-        for _ in range(n):
-            (length,) = _ID_LENGTH.unpack_from(data, pos)
-            pos += 4 + length
+    for i in range(n):
+        if pos > last or pos + (length := _U32(data, pos)[0]) > last:
+            string("sample id at row {}", i)
+            u32("label at row {}", i)
+            skip(4 * d, "features at row {}", i)
+        pos += 4 + length
+        try:
             ids.append(data[pos - length : pos].decode("utf-8"))
-            starts.append(pos)
-            pos += 4 + 4 * d
-    except (struct.error, UnicodeDecodeError):
-        return None
+        except UnicodeDecodeError:
+            raise DatasetError(f"invalid UTF-8 in sample id at row {i}") from None
+        starts.append(pos)
+        pos += 4 + 4 * d
     if pos != len(data):
-        return None
+        raise DatasetError(f"{len(data) - pos} trailing bytes after row {n - 1}")
     # Every byte offset of `data` as the start of a label, and of d features.
     at = np.array(starts, dtype=np.intp)
     labels = np.ndarray((len(data) - 3,), "<u4", data, strides=(1,))[at]
     features = np.ndarray((len(data) - 4 * d + 1, d), "<f4", data, strides=(1, 4))[at + 4]
-    return features, labels.astype(np.int64), tuple(ids)
-
-
-def _cursor_records(
-    cur: _Cursor, n: int, d: int
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """(features, labels, ids) of the N records at the cursor, read one field
-    at a time; each error names the field and row it stops at."""
-    ids = []
-    labels = np.empty(n, dtype=np.int64)
-    features = np.empty((n, d), dtype=np.float32)
-    for i in range(n):
-        ids.append(cur.string(f"sample id at row {i}"))
-        labels[i] = cur.u32(f"label at row {i}")
-        raw = cur.read(4 * d, f"features at row {i}")
-        features[i] = np.frombuffer(raw, dtype="<f4")
-    if cur.pos != len(cur.data):
-        raise DatasetError(f"{len(cur.data) - cur.pos} trailing bytes after row {n - 1}")
-    return features, labels, tuple(ids)
+    return FeatureSet(features, labels.astype(np.int64), tuple(ids), names)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +337,10 @@ def _csv_id(sid: str) -> str:
 #: rows (at least one). Each value takes about 150 bytes while formatted.
 CSV_BLOCK_VALUES = 16384
 
+#: The csv loader names categories 0..max(label) itself; it refuses a label past
+#: both the row count and this count, whose names alone could exhaust memory.
+CSV_INFERRED_CATEGORIES = 65536
+
 
 def _csv_bytes(fs: FeatureSet) -> bytearray:
     """The csv file, one block of rows at a time. The blocks go into one
@@ -375,11 +356,6 @@ def _csv_bytes(fs: FeatureSet) -> bytearray:
         prefixes = [f"{_csv_id(fs.sample_ids[i])},{labels[i]},".encode() for i in range(start, stop)]
         out += _csv_block(fs.features[start:stop], prefixes)
     return out
-
-
-def _features_to_csv(fs: FeatureSet) -> str:
-    """The text ``save_features`` writes in the csv format."""
-    return _csv_bytes(fs).decode("utf-8")
 
 
 def _csv_rows(
@@ -435,7 +411,11 @@ def _features_from_csv(
     if not ids:
         raise DatasetError("csv file has no data rows")
     if category_names is None:
-        category_names = tuple(f"cat{k:03d}" for k in range(max(labels) + 1))
+        top = max(labels)
+        if top >= max(len(ids), CSV_INFERRED_CATEGORIES):
+            raise DatasetError(f"label {top} needs {top + 1} categories, more than the "
+                               f"{len(ids)} data rows and the limit of {CSV_INFERRED_CATEGORIES}")
+        category_names = tuple(f"cat{k:03d}" for k in range(top + 1))
     return FeatureSet(
         features=np.vstack(blocks),
         labels=np.array(labels, dtype=np.int64),

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import numpy as np
 
+from currikit.data import BINARY_VERSION, MAGIC, DatasetError, FeatureSet
 from currikit.trainer import _weighted_ce_
 
 
@@ -252,6 +254,73 @@ def alloc_momentum_step(
         v *= momentum
         v -= lr * g
         params[name] += v
+
+
+class _Cursor:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def read(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.data):
+            raise DatasetError(f"truncated file while reading {what}")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.read(4, what))[0]
+
+    def string(self, what: str) -> str:
+        length = self.u32(what + " length")
+        raw = self.read(length, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"invalid UTF-8 in {what}") from exc
+
+
+def cursor_features(data: bytes) -> FeatureSet:
+    """The binary feature file `data`, read one field at a time; each error
+    names the field and row it stops at."""
+    cur = _Cursor(data)
+    if cur.read(4, "magic") != MAGIC:
+        raise DatasetError("bad magic bytes: not a CRFS feature file")
+    version = cur.u32("version")
+    if version != BINARY_VERSION:
+        raise DatasetError(f"unsupported feature file version {version}")
+    n = cur.u32("sample count")
+    d = cur.u32("feature dimension")
+    c = cur.u32("category count")
+    if n < 1 or d < 1 or c < 1:
+        raise DatasetError(f"invalid header counts N={n} d={d} C={c}")
+    names = tuple(cur.string(f"category name {i}") for i in range(c))
+    # Each record holds at least an id length, a label and d floats.
+    needed = n * (8 + 4 * d)
+    if needed > len(data) - cur.pos:
+        raise DatasetError(
+            f"truncated file: N={n} records at d={d} need at least {needed} bytes, "
+            f"{len(data) - cur.pos} remain"
+        )
+    return FeatureSet(*_cursor_records(cur, n, d), category_names=names)
+
+
+def _cursor_records(
+    cur: _Cursor, n: int, d: int
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """(features, labels, ids) of the N records at the cursor, read one field
+    at a time; each error names the field and row it stops at."""
+    ids = []
+    labels = np.empty(n, dtype=np.int64)
+    features = np.empty((n, d), dtype=np.float32)
+    for i in range(n):
+        ids.append(cur.string(f"sample id at row {i}"))
+        labels[i] = cur.u32(f"label at row {i}")
+        raw = cur.read(4 * d, f"features at row {i}")
+        features[i] = np.frombuffer(raw, dtype="<f4")
+    if cur.pos != len(cur.data):
+        raise DatasetError(f"{len(cur.data) - cur.pos} trailing bytes after row {n - 1}")
+    return features, labels, tuple(ids)
 
 
 # Test-only helpers over library types and kernels.

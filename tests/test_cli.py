@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import shutil
 import struct
 import subprocess
@@ -373,6 +374,23 @@ class TestMalformedInputs:
         r = run_cli(["design", "--features", "big.bin", "--out-dir", "."], cwd=tmp_path)
         assert r.returncode == 1, r.stderr
         assert "currikit: error: big.bin: truncated file: N=100000 records at d=100000" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("label", [10**8, 2**70], ids=["1e8", "2^70"])
+    def test_csv_label_beyond_rows_exit_1(self, tmp_path, label):
+        # The csv format infers label + 1 categories: the loader must reject
+        # the label before it names them, here within 1.5 GiB of address space.
+        (tmp_path / "huge.csv").write_text(f"id,label,f0\na,0,1.0\nb,{label},2.0\n")
+        limit = 3 << 29
+        r = subprocess.run(
+            [sys.executable, "-m", "currikit", "design", "--features", "huge.csv",
+             "--out-dir", "."],
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert r.returncode == 1, r.stderr
+        assert (f"currikit: error: huge.csv: label {label} needs {label + 1} categories, "
+                "more than the 2 data rows and the limit of 65536") in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("command", ["train", "analyze"])

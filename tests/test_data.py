@@ -29,7 +29,7 @@ from currikit.data import (
     save_features,
     save_truth,
 )
-from oracles import reference_from_truth
+from oracles import cursor_features, reference_from_truth
 
 
 def small_fs(names=("a", "b")) -> FeatureSet:
@@ -257,7 +257,7 @@ def test_csv_writer_cells_match_reference(block_values, features):
                     sample_ids=tuple(f"e{i}" for i in range(len(features))),
                     category_names=("only",))
     with mock.patch.object(data, "CSV_BLOCK_VALUES", block_values):
-        text = data._features_to_csv(fs)
+        text = data._csv_bytes(fs).decode("utf-8")
     lines = text.split("\n")
     assert lines[-1] == ""
     assert len(lines) == len(features) + 2
@@ -363,6 +363,22 @@ class TestCsvFormat:
         loaded = load_features(path, "csv", category_names=("first", "second"))
         assert loaded == fs
 
+    def test_inferred_categories_bounded_by_rows_and_limit(self, tmp_path):
+        path = tmp_path / "f.csv"
+        rows = "".join(f"r{i},{i},1.0\n" for i in range(3))
+        path.write_text(f"id,label,f0\n{rows}", encoding="utf-8")
+        with mock.patch.object(data, "CSV_INFERRED_CATEGORIES", 2):
+            assert load_features(path, "csv").n_categories == 3
+        path.write_text(f"id,label,f0\n{rows}a,4,1.0\n", encoding="utf-8")
+        with mock.patch.object(data, "CSV_INFERRED_CATEGORIES", 5):
+            assert load_features(path, "csv").n_categories == 5
+        with mock.patch.object(data, "CSV_INFERRED_CATEGORIES", 4):
+            with pytest.raises(DatasetError, match="label 4 needs 5 categories, more than "
+                               "the 4 data rows and the limit of 4"):
+                load_features(path, "csv")
+            # Names from the caller set the count; nothing is inferred.
+            assert load_features(path, "csv", tuple("vwxyz")).n_categories == 5
+
 
 class TestTruthIO:
     def test_round_trip(self, tmp_path):
@@ -456,13 +472,13 @@ def test_csv_reader_errors(tmp_path, reader, case):
     assert str(caught.value) == message
 
 
-# The feature readers read a file in blocks, and hand any file they cannot
-# show they read as the row loop (csv) or the cursor loop (binary) does to
-# that loop. The tests below load each file three ways: as load_features
-# does, through the loop alone, and, for a file the block reader must take,
-# with the loop patched to raise.
-LOOPS = {"csv": ("_csv_feature_blocks", "_csv_feature_rows"),
-         "binary": ("_binary_records", "_cursor_records")}
+# The csv feature reader reads a file in blocks, and hands any file it cannot
+# show it reads as the row loop does to that loop. The tests below load each
+# csv file three ways: as load_features does, through the loop alone, and,
+# for a file the block reader must take, with the loop patched to raise. Each
+# binary file is loaded as load_features does and by the cursor loop in
+# tests/oracles.py.
+LOOPS = {"csv": ("_csv_feature_blocks", "_csv_feature_rows")}
 
 
 def load_outcome(path, fmt, patch=None):
@@ -483,6 +499,11 @@ def assert_block_reader_matches_loop(path, fmt, taken: bool) -> None:
     if taken:
         raising = (loop, {"side_effect": AssertionError(f"{loop} ran")})
         assert load_outcome(path, fmt, raising) == outcome
+
+
+def assert_binary_reader_matches_cursor_loop(path) -> None:
+    oracle = ("_features_from_binary", {"side_effect": cursor_features})
+    assert load_outcome(path, "binary") == load_outcome(path, "binary", oracle)
 
 
 _EXACT = decimal.Context(prec=400)
@@ -634,19 +655,10 @@ def test_binary_block_reader_matches_cursor_loop(data_, n, d, c):
         raw = raw[: data_.draw(st.integers(0, len(raw) - 1))]
     elif cut == "trailing":
         raw += data_.draw(st.binary(min_size=1, max_size=9))
-    taken = cut == "none" and all(_is_utf8(sid) for sid in ids)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "f.bin")
         path.write_bytes(raw)
-        assert_block_reader_matches_loop(path, "binary", taken)
-
-
-def _is_utf8(raw: bytes) -> bool:
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
+        assert_binary_reader_matches_cursor_loop(path)
 
 
 def test_binary_block_reader_every_truncation(tmp_path):
@@ -661,18 +673,30 @@ def test_binary_block_reader_every_truncation(tmp_path):
     path = tmp_path / "cut.bin"
     for end in range(len(raw) + 1):
         path.write_bytes(raw[:end])
-        assert_block_reader_matches_loop(path, "binary", end == len(raw))
+        assert_binary_reader_matches_cursor_loop(path)
     for extra in (b"\x00", b"\x01\x00\x00\x00", raw[-13:]):
         path.write_bytes(raw + extra)
-        assert_block_reader_matches_loop(path, "binary", False)
+        assert_binary_reader_matches_cursor_loop(path)
+
+
+def test_binary_reader_every_cut_of_the_last_record(tmp_path):
+    """A long first id leaves room for the header's size check to pass every
+    cut of the last record, so the record loop words each: inside a
+    multi-byte id and an id that is not UTF-8, the cut is a truncation."""
+    for last in ("日本語".encode(), b"\xff\xfe\xfd"):
+        raw = binary_file([b"x" * 40, last], [0, 1], bytes(16), 2, 2)
+        path = tmp_path / "cut.bin"
+        for end in range(len(raw) + 1):
+            path.write_bytes(raw[:end])
+            assert_binary_reader_matches_cursor_loop(path)
 
 
 @pytest.mark.parametrize("limit", [None, 40], ids=["field-limit", "lines-over-field-limit"])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_synth_files_are_read_in_blocks(tmp_path, fmt, limit):
-    """The files synth writes never reach the row loop or the cursor loop, so
-    a check that sent every file to the loops would fail here; neither do
-    lines longer than the csv field size limit whose cells are all shorter."""
+    """The files synth writes never reach the csv row loop, so a check that
+    sent every file to the loop would fail here; neither do lines longer
+    than the csv field size limit whose cells are all shorter."""
     fs, _ = generate_synthetic(SynthConfig(n_categories=3, per_category=200, n_features=64,
                                            clean_frac=0.6, cross_frac=0.25,
                                            uniform_frac=0.15, seed=3))
@@ -680,9 +704,7 @@ def test_synth_files_are_read_in_blocks(tmp_path, fmt, limit):
     save_features(fs, path, fmt)
     saved = csv.field_size_limit(limit or csv.field_size_limit())
     try:
-        with mock.patch.object(data, "_csv_feature_rows", side_effect=AssertionError("row loop")), \
-                mock.patch.object(data, "_cursor_records",
-                                  side_effect=AssertionError("cursor loop")):
+        with mock.patch.object(data, "_csv_feature_rows", side_effect=AssertionError("row loop")):
             assert load_features(path, fmt, fs.category_names) == fs
     finally:
         csv.field_size_limit(saved)
