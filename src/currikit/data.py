@@ -412,6 +412,8 @@ def _features_from_csv(
         raise DatasetError("csv file has no data rows")
     if category_names is None:
         top = max(labels)
+        if top < 0:
+            raise DatasetError(f"label {labels[0]} at row 0 is negative; category ids start at 0")
         if top >= max(len(ids), CSV_INFERRED_CATEGORIES):
             raise DatasetError(f"label {top} needs {top + 1} categories, more than the "
                                f"{len(ids)} data rows and the limit of {CSV_INFERRED_CATEGORIES}")

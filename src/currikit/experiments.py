@@ -30,6 +30,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -205,15 +206,14 @@ class _Segment:
 class _Grid:
     """The runs of one grid, planned as a prefix tree of segments.
 
-    Two runs share iterations [0, t) only when they have the same
-    curriculum, seed and total iterations, and their spans before t pair up
-    with the same stop, learning rate, stage index, batch composition and
-    loss weights, and keep-masks that agree on every sample at or below that
-    stage's level. A stage's batches are a function of those pools alone,
-    so a stage that moves picks off an empty level is shared like any
-    other. Every strategy is cut at the same points, the scaled decay
-    iterations. Sharing is then the same at every level of the tree: runs
-    that share [0, t) with a third run share [0, t) with each other.
+    A stage's batches are a function of its pools alone, so two runs share
+    iterations [0, t) when they have the same curriculum, seed and total
+    iterations, and their spans before t pair up with the same stop,
+    learning rate, stage index, batch size and composition, loss weights,
+    and keep-masks that agree on every sample at or below that stage's
+    level. Each span is keyed by these and by the key of the span before
+    it, so runs that share a key share every iteration up to its stop. A
+    stage that moves picks off an empty level is shared like any other.
     """
 
     def __init__(self, runs: list[_Run], fs_train: FeatureSet, fs_test: FeatureSet, *,
@@ -222,58 +222,36 @@ class _Grid:
         self.fs_train, self.fs_test = fs_train, fs_test
         self.arch, self.hidden_dim, self.topk = arch, hidden_dim, topk
         self.segments: list[_Segment] = []
-        self.last = [0] * len(runs)  # each run's last segment
-        plans = [spans(r.schedule) for r in runs]
-        totals = [sum(s.iterations for s in r.schedule) for r in runs]
-
-        def key(span: tuple) -> tuple:
-            _, stop, s, lr = span
-            return stop, lr, s.stage_index, s.batch_size, s.batch_composition, s.loss_weights
-
-        def shared(a: int, b: int) -> int:
-            """How many first iterations runs a and b train identically: up
-            to the start of their first pair of spans that differ."""
-            ra, rb = runs[a], runs[b]
-            if ra.cd is not rb.cd or ra.seed != rb.seed or totals[a] != totals[b]:
-                return 0
-            for span_a, span_b in zip(plans[a], plans[b]):
-                low = ra.cd.levels <= span_a[2].stage_index
-                if key(span_a) != key(span_b) or not np.array_equal(ra.keep[low], rb.keep[low]):
-                    return span_a[0]
-            return totals[a]
-
-        def grow(members: list[int], start: int, parent: int | None) -> None:
-            head = members[0]
-            stop = min((shared(head, m) for m in members[1:]), default=totals[head])
-            if stop > start or len(members) == 1:
-                self.segments.append(_Segment(tuple(members), stop, parent))
-                parent = len(self.segments) - 1
-                if stop == totals[head]:
-                    for m in members:
-                        self.last[m] = parent
-                    return
-            groups: list[list[int]] = []
-            for m in members:
-                group = next((g for g in groups if shared(g[0], m) > stop), None)
-                if group is None:
-                    groups.append([m])
-                else:
-                    group.append(m)
-            for group in groups:
-                grow(group, stop, parent)
-
-        grow(list(range(len(runs))), 0, None)
+        self.paths: list[list[int]] = []  # each run's segments, from its fresh start
+        runs_of: dict[tuple, list[int]] = {}  # span key -> the runs through it
+        keyed = []  # each run's (stop, key) per span
+        for i, run in enumerate(runs):
+            key: tuple = (run.cd, run.seed, sum(s.iterations for s in run.schedule))
+            keyed.append([])
+            for _, stop, s, lr in spans(run.schedule):
+                low = run.keep[run.cd.levels <= s.stage_index]
+                key = (key, stop, lr, s.stage_index, s.batch_size, s.batch_composition,
+                       s.loss_weights, np.packbits(low).tobytes())
+                runs_of.setdefault(key, []).append(i)
+                keyed[-1].append((stop, key))
+        # A segment is a longest stretch of a run's spans that the same runs
+        # go through, numbered when a run first reaches its first span.
+        first: dict[tuple, int] = {}  # a segment's first span key -> the segment
+        for run_spans in keyed:
+            path: list[int] = []
+            for through, stretch in groupby(run_spans, lambda span: runs_of[span[1]]):
+                stretch = list(stretch)
+                head = stretch[0][1]
+                if head not in first:
+                    first[head] = len(self.segments)
+                    self.segments.append(_Segment(tuple(through), stretch[-1][0],
+                                                  path[-1] if path else None))
+                path.append(first[head])
+            self.paths.append(path)
         self.children: list[list[int]] = [[] for _ in self.segments]
         for i, seg in enumerate(self.segments):
             if seg.parent is not None:
                 self.children[seg.parent].append(i)
-
-    def path(self, run: int) -> list[int]:
-        """The segments that train `run`, from its fresh start to its end."""
-        out = [self.last[run]]
-        while self.segments[out[-1]].parent is not None:
-            out.append(self.segments[out[-1]].parent)
-        return out[::-1]
 
     def train_segment(
         self, i: int, state: TrainState | None
@@ -291,7 +269,7 @@ class _Grid:
     def result(self, run: int, done: dict) -> RunMetrics:
         """Run `run`'s metrics from its last segment's result in `done`, then
         forget the segments no later run needs."""
-        path = self.path(run)
+        path = self.paths[run]
         metrics = done[path[-1]][1]
         if run != self.segments[path[-1]].runs[0]:
             metrics = replace(metrics, strategy=self.runs[run].tag)
@@ -305,7 +283,7 @@ class _Grid:
         done: dict[int, tuple] = {}
         for run in range(len(self.runs)):
             self.runs[run].report_moves()
-            for i in self.path(run):
+            for i in self.paths[run]:
                 if i not in done:
                     parent = self.segments[i].parent
                     start = None if parent is None else copy.deepcopy(done[parent][0])
@@ -341,7 +319,7 @@ class _Grid:
                         submit(i, None)
                 for run in range(len(self.runs)):
                     self.runs[run].report_moves()
-                    path = self.path(run)
+                    path = self.paths[run]
                     while not all(i in done for i in path):
                         for i in path:
                             if i in failed:

@@ -393,6 +393,13 @@ class TestMalformedInputs:
                 "more than the 2 data rows and the limit of 65536") in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_csv_all_negative_labels_exit_1(self, tmp_path):
+        (tmp_path / "neg.csv").write_text("id,label,f0\na,-1,1.0\nb,-2,2.0\n")
+        r = run_cli(["design", "--features", "neg.csv", "--out-dir", "."], cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "currikit: error: neg.csv: label -1 at row 0 is negative" in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("command", ["train", "analyze"])
     def test_non_integer_label_exit_1(self, workspace, command):
         lines = (workspace / "truth.csv").read_text().splitlines(keepends=True)

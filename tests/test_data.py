@@ -379,6 +379,13 @@ class TestCsvFormat:
             # Names from the caller set the count; nothing is inferred.
             assert load_features(path, "csv", tuple("vwxyz")).n_categories == 5
 
+    def test_all_negative_labels_name_the_first(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,label,f0\na,-1,1.0\nb,-2,2.0\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=": label -1 at row 0 is negative; "
+                           "category ids start at 0$"):
+            load_features(path, "csv")
+
 
 class TestTruthIO:
     def test_round_trip(self, tmp_path):

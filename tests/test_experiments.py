@@ -25,6 +25,7 @@ from currikit import trainer
 from currikit.schedule import CurriculumSampler
 from currikit.trainer import (
     ClassifierModel,
+    RunMetrics,
     TrainState,
     TrainingDiverged,
     holdout_split,
@@ -337,6 +338,37 @@ class TestSharedPrefixes:
         _grid_runs(split, tags, seeds, fractions, scale, arch="mlp", hidden_dim=16)
         assert len(count_steps) == steps
 
+    @pytest.mark.parametrize("tags, fractions, seeds, scale, calls, chains", [
+        (["ModelD"], [0.0, 0.5, 1.0], [1, 2], 0.0005, 8,
+         [[(0, 250, "ModelD@hn=0"), (250, 350, tag)]
+          for tag in ("ModelD@hn=0", "ModelD@hn=0.5", "ModelD@hn=1") for _ in range(2)]),
+        (["ModelA", "ModelB", "ModelC", "ModelD"], None, [1], 0.001, 6,
+         [[(0, 700, "ModelA")],
+          [(0, 300, "ModelB"), (300, 700, "ModelB")],
+          [(0, 300, "ModelB"), (300, 500, "ModelC"), (500, 700, "ModelC")],
+          [(0, 300, "ModelB"), (300, 500, "ModelC"), (500, 700, "ModelD")]]),
+    ], ids=["mlp-sweep", "A,B,C,D"])
+    def test_segment_plan(self, split, monkeypatch, tags, fractions, seeds, scale, calls, chains):
+        # Each segment is one train call, and every extra call standardizes
+        # the training matrix again. A stand-in train appends (start, stop,
+        # tag of the run that trains it) to the state's points, so each run
+        # reports the chain of segments it went through.
+        trained = []
+
+        def planned(tag, fs_train, fs_test, cd, schedule, seed, *, state, stop, **kwargs):
+            trained.append(tag)
+            state.points.append((state.iteration, stop, tag))
+            state.iteration = stop
+            return state, RunMetrics(tag, seed, 5, points=list(state.points))
+
+        monkeypatch.setattr(experiments, "train", planned)
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+        fs_train, _, fs_test = split
+        runs = [m for m, _ in run_grid(tags, seeds, fs_train, fs_test, CurriculumParams(seed=0),
+                                       fractions=fractions, scale=scale, arch="mlp")]
+        assert [m.points for m in runs] == chains
+        assert len(trained) == calls
+
     @pytest.mark.parametrize("cores", [1, 2, 4])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_runs_equal_independent_runs(self, split, monkeypatch, cores, grid):
@@ -372,6 +404,19 @@ class TestSharedPrefixes:
         grid = _grid_runs(split, tags, [0], scale=0.001)
         assert len(count_steps) == 1300
         assert grid == _independent_runs(split, tags, [0], scale=0.001)
+
+    def test_equal_keep_masks_are_shared(self, split, monkeypatch, count_steps):
+        # Fractions 0 and 1e-4 keep no highly-noisy sample of this set, so
+        # the two runs' masks are equal, though they are separate arrays,
+        # and the runs train all 350 iterations once.
+        fs_train, _, fs_test = split
+        cd = CurriculumCache(fs_train, CurriculumParams(seed=0)).get("density")
+        assert not any(restrict_highly_noisy(cd, f, 1)[cd.levels == 2].any() for f in (0, 1e-4))
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+        none, few = run_grid(["ModelD"], [1], fs_train, fs_test, CurriculumParams(seed=0),
+                             fractions=[0.0, 1e-4], scale=SHARE_SCALE)
+        assert len(count_steps) == 350
+        assert none[0].to_dict()["points"] == few[0].to_dict()["points"]
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_divergence_in_shared_segment_names_first_run(self, split, monkeypatch, cores):
