@@ -71,7 +71,7 @@ def _apply_config(
     """Pre-set subcommand defaults from a --config file; explicit flags win.
 
     String defaults are type-converted by argparse exactly like command-line
-    values.
+    values; a switch takes `true` or `false`.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("command", nargs="?")
@@ -87,6 +87,12 @@ def _apply_config(
         unknown = sorted(set(overrides) - valid)
         if unknown:
             parser.error(f"unknown config keys: {', '.join(unknown)}")
+        for a in sub._actions:
+            if isinstance(a, argparse._StoreTrueAction) and a.dest in overrides:
+                value = overrides[a.dest]
+                if value.lower() not in ("true", "false"):
+                    parser.error(f"config key {a.dest} = {value!r} must be true or false")
+                overrides[a.dest] = value.lower() == "true"
         sub.set_defaults(**overrides)
     return parser.parse_args(args)
 

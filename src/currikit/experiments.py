@@ -26,7 +26,7 @@ import ctypes
 import glob
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
@@ -132,7 +132,7 @@ def run_grid(
     first stage, ModelC and ModelD their second, and every fraction of a
     sweep shares the stages that never draw the highly-noisy subset. The
     grid is planned as a tree of segments (:class:`_Grid`); each segment
-    continues from its parent's end state, and each run's metrics are the
+    continues where the one before it ended, and each run's metrics are the
     same as from its own :func:`train` call. A run's batch log draws that
     call's batches again, in this process, as it is read (:func:`replay_batches`).
 
@@ -140,9 +140,9 @@ def run_grid(
     and keep-mask and plans the segments; forked worker processes, one per
     usable core and never more than the runs, then train the segments,
     while numpy's OpenBLAS runs one thread. A segment is sent to a worker
-    as soon as its parent segment's end state is back. The parent logs each
-    run's pick moves (:func:`report_moves`) at the start of its turn. A
-    run's outputs and warnings do not depend on the number of workers.
+    as soon as the one before it ends. The parent logs each run's pick
+    moves (:func:`report_moves`) at the start of its turn. A run's outputs
+    and warnings do not depend on the number of workers.
     Where the OpenBLAS thread-count call is not found, the runs train one
     after another in this process."""
     for what, entries in (("strategy", tags), ("seed", seeds), ("fraction", fractions)):
@@ -173,7 +173,8 @@ def run_grid(
         grid = _Grid(runs, fs_train, fs_test, arch=arch, hidden_dim=hidden_dim, topk=topk)
         workers = min(_usable_cores(), sum(not c for c in grid.children))
         serial = workers <= 1 or not capped or not hasattr(os, "fork")
-        results = grid.train_serially() if serial else grid.train_in_pool(workers)
+        results = (grid.walk(lambda i, start: grid.train_segment(i, copy.deepcopy(start)))
+                   if serial else grid.train_in_pool(workers))
         for run, metrics in zip(runs, results):
             yield metrics, (replay_batches(fs_train, run.cd, run.schedule, run.seed, run.keep)
                             if batch_log else None)
@@ -195,12 +196,11 @@ class _Run:
 @dataclass(frozen=True)
 class _Segment:
     """The iterations up to `stop` that `runs` (grid indices, in serial
-    order) train identically, from the end of segment `parent` or, when
-    that is None, from a fresh start. The first of the runs trains it."""
+    order) train identically, from the end of the segment before it on
+    their paths or from a fresh start. The first of the runs trains it."""
 
     runs: tuple[int, ...]
     stop: int
-    parent: int | None
 
 
 class _Grid:
@@ -223,15 +223,17 @@ class _Grid:
         self.arch, self.hidden_dim, self.topk = arch, hidden_dim, topk
         self.segments: list[_Segment] = []
         self.paths: list[list[int]] = []  # each run's segments, from its fresh start
+        self.children: list[list[int]] = []  # the segments that continue from each
         runs_of: dict[tuple, list[int]] = {}  # span key -> the runs through it
+        masks: dict[bytes, int] = {}  # packed keep-mask -> its id, one copy per mask
         keyed = []  # each run's (stop, key) per span
         for i, run in enumerate(runs):
             key: tuple = (run.cd, run.seed, sum(s.iterations for s in run.schedule))
             keyed.append([])
             for _, stop, s, lr in spans(run.schedule):
-                low = run.keep[run.cd.levels <= s.stage_index]
+                low = np.packbits(run.keep[run.cd.levels <= s.stage_index]).tobytes()
                 key = (key, stop, lr, s.stage_index, s.batch_size, s.batch_composition,
-                       s.loss_weights, np.packbits(low).tobytes())
+                       s.loss_weights, masks.setdefault(low, len(masks)))
                 runs_of.setdefault(key, []).append(i)
                 keyed[-1].append((stop, key))
         # A segment is a longest stretch of a run's spans that the same runs
@@ -244,20 +246,18 @@ class _Grid:
                 head = stretch[0][1]
                 if head not in first:
                     first[head] = len(self.segments)
-                    self.segments.append(_Segment(tuple(through), stretch[-1][0],
-                                                  path[-1] if path else None))
+                    self.segments.append(_Segment(tuple(through), stretch[-1][0]))
+                    self.children.append([])
+                    if path:
+                        self.children[path[-1]].append(first[head])
                 path.append(first[head])
             self.paths.append(path)
-        self.children: list[list[int]] = [[] for _ in self.segments]
-        for i, seg in enumerate(self.segments):
-            if seg.parent is not None:
-                self.children[seg.parent].append(i)
 
     def train_segment(
         self, i: int, state: TrainState | None
     ) -> tuple[TrainState | None, RunMetrics]:
-        """Train segment `i` from its parent's end `state` (None: a fresh
-        start); return its end state if a child needs it, and the metrics."""
+        """Train segment `i` from the end `state` of the one before it (None:
+        a fresh start); return its end state if a child needs it, and the metrics."""
         seg = self.segments[i]
         run = self.runs[seg.runs[0]]
         if state is None:
@@ -266,34 +266,31 @@ class _Grid:
                            topk=self.topk, include_mask=run.keep, state=state, stop=seg.stop)
         return (state if self.children[i] else None), metrics
 
-    def result(self, run: int, done: dict) -> RunMetrics:
-        """Run `run`'s metrics from its last segment's result in `done`, then
-        forget the segments no later run needs."""
-        path = self.paths[run]
-        metrics = done[path[-1]][1]
-        if run != self.segments[path[-1]].runs[0]:
-            metrics = replace(metrics, strategy=self.runs[run].tag)
-        for i in path:
-            if self.segments[i].runs[-1] == run:
-                del done[i]
-        return metrics
-
-    def train_serially(self) -> Iterator[RunMetrics]:
-        """Train in this process, each run's own segments at its turn."""
+    def walk(self, collect: Callable[[int, TrainState | None], tuple]) -> Iterator[RunMetrics]:
+        """Each run's metrics, in serial order. At its turn a run logs its
+        pick moves and gets each segment of its path not yet done from
+        `collect(i, start)`, `start` being the end state of the segment
+        before it (None: a fresh start); results no later run needs go."""
         done: dict[int, tuple] = {}
-        for run in range(len(self.runs)):
+        for run, path in enumerate(self.paths):
             self.runs[run].report_moves()
-            for i in self.paths[run]:
+            start = None
+            for i in path:
                 if i not in done:
-                    parent = self.segments[i].parent
-                    start = None if parent is None else copy.deepcopy(done[parent][0])
-                    done[i] = self.train_segment(i, start)
-            yield self.result(run, done)
+                    done[i] = collect(i, start)
+                start = done[i][0]
+            metrics = done[path[-1]][1]
+            if run != self.segments[path[-1]].runs[0]:
+                metrics = replace(metrics, strategy=self.runs[run].tag)
+            for i in path:
+                if self.segments[i].runs[-1] == run:
+                    del done[i]
+            yield metrics
 
     def train_in_pool(self, workers: int) -> Iterator[RunMetrics]:
-        """Train in forked workers; a segment is submitted when its parent's
-        end state arrives, and a failed segment is raised at the turn of the
-        first run through it."""
+        """Train in forked workers; a segment is submitted as soon as the
+        segment before it ends, and a failed segment is raised at the turn
+        of the first run through it."""
         # Fork, not spawn: workers inherit the data and designs instead of
         # importing and receiving them. The parent's only other threads are
         # OpenBLAS's, which OpenBLAS's own fork handler joins before a fork,
@@ -306,35 +303,26 @@ class _Grid:
         with ProcessPoolExecutor(
             workers, mp_context=get_context("fork"), initializer=_hold_grid, initargs=(self,)
         ) as pool:
-            pending = {}
-            done: dict[int, tuple] = {}
-            failed: dict[int, Exception] = {}
+            running = {}  # future -> its segment
+            ended = {}  # segment -> its future, until collected
 
             def submit(i: int, state: TrainState | None) -> None:
-                pending[pool.submit(_train_held_segment, i, state)] = i
+                running[pool.submit(_train_held_segment, i, state)] = i
+
+            def collect(i: int, _) -> tuple:
+                while i not in ended:
+                    for future in wait(running, return_when=FIRST_COMPLETED).done:
+                        j = running.pop(future)
+                        ended[j] = future
+                        if future.exception() is None:
+                            for child in self.children[j]:
+                                submit(child, future.result()[0])
+                return ended.pop(i).result()
 
             try:
-                for i, seg in enumerate(self.segments):
-                    if seg.parent is None:
-                        submit(i, None)
-                for run in range(len(self.runs)):
-                    self.runs[run].report_moves()
-                    path = self.paths[run]
-                    while not all(i in done for i in path):
-                        for i in path:
-                            if i in failed:
-                                raise failed[i]
-                        finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in finished:
-                            i = pending.pop(future)
-                            try:
-                                done[i] = future.result()
-                            except Exception as exc:
-                                failed[i] = exc
-                                continue
-                            for child in self.children[i]:
-                                submit(child, done[i][0])
-                    yield self.result(run, done)
+                for root in dict.fromkeys(path[0] for path in self.paths):
+                    submit(root, None)
+                yield from self.walk(collect)
             finally:
                 pool.shutdown(cancel_futures=True)
 
@@ -350,7 +338,7 @@ def _hold_grid(grid: _Grid) -> None:
 
 def _train_held_segment(i: int, state: TrainState | None):
     """Train segment `i` of the grid this worker inherited; only `i` and the
-    parent segment's end state are sent to the worker, and only the
+    end state of the segment before it are sent to the worker, and only the
     segment's results come back."""
     return _worker_grid.train_segment(i, state)
 

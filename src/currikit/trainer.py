@@ -492,5 +492,8 @@ def holdout_split(
             n_test -= 1  # keep at least one clean training sample
         if n_test:
             test_mask[rng.choice(clean_idx, size=n_test, replace=False)] = True
+    if not test_mask.any():
+        raise ValueError(f"test_frac {test_frac:g} holds out no clean sample, "
+                         "so the test set would be empty")
     train_mask = ~test_mask
     return fs.take(train_mask), truth.take(train_mask), fs.take(test_mask)

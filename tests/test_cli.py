@@ -329,6 +329,15 @@ MALFORMED_CURRICULA = {
 
 
 class TestMalformedInputs:
+    def test_no_clean_test_sample_exit_1(self, tmp_path):
+        r = run_cli(["synth", "--categories", "3", "--per-category", "2", "--clean-frac", "1",
+                     "--cross-frac", "0", "--uniform-frac", "0", "--out-dir", "."], cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(TRAIN[:5] + ["--out-dir", "out"], cwd=tmp_path)
+        assert r.returncode == 1
+        assert r.stderr == ("currikit: error: test_frac 0.2 holds out no clean sample, "
+                            "so the test set would be empty\n")
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CURRICULA))
     def test_malformed_curriculum_exit_1(self, workspace, case):
         r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
@@ -528,6 +537,21 @@ class TestConfigAndEnv:
         r = run_cli(["synth", "--config", "bad.cfg", "--out-dir", "."], cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "currikit: error: unknown config keys: nonsense" in r.stderr
+
+    @pytest.mark.parametrize("value, logged", [("false", False), ("TRUE", True)])
+    def test_config_switch_true_or_false(self, workspace, value, logged):
+        (workspace / "run.cfg").write_text(f"batch-log = {value}\n")
+        r = run_cli(TRAIN + ["--config", "run.cfg", "--strategies", "D", "--out-dir", "out"],
+                    cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        assert (workspace / "out" / "batches_ModelD_s0.csv").exists() == logged
+
+    def test_config_switch_other_value_exit_2(self, workspace):
+        (workspace / "run.cfg").write_text("batch-log = maybe\n")
+        r = run_cli(TRAIN + ["--config", "run.cfg", "--out-dir", "out"], cwd=workspace)
+        assert r.returncode == 2, r.stderr
+        assert "currikit: error: config key batch_log = 'maybe' must be true or false" in r.stderr
+        assert not (workspace / "out").exists()
 
     def test_out_dir_env_override(self, tmp_path):
         target = tmp_path / "from-env"

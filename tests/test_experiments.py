@@ -1,6 +1,7 @@
 import logging
 import os
 import re
+import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -368,6 +369,37 @@ class TestSharedPrefixes:
                                        fractions=fractions, scale=scale, arch="mlp")]
         assert [m.points for m in runs] == chains
         assert len(trained) == calls
+
+    @needs_blas_cap
+    def test_segment_submitted_when_the_one_before_it_ends(self, split, monkeypatch, tmp_path):
+        # ModelB's tail (300-700) waits until ModelC's tail (500-700) starts.
+        # On two workers that happens only if ModelC's tail is submitted as
+        # soon as the shared 300-500 segment ends, not at ModelC's turn,
+        # which comes after ModelB's tail is back.
+        marker = tmp_path / "modelc-tail-started"
+
+        def waiting(tag, fs_train, fs_test, cd, schedule, seed, *, state, stop, **kwargs):
+            if (tag, state.iteration) == ("ModelC", 500):
+                marker.touch()
+            if (tag, state.iteration) == ("ModelB", 300):
+                deadline = time.monotonic() + 60
+                while not marker.exists():
+                    if time.monotonic() > deadline:
+                        raise TimeoutError("ModelC's tail did not start within 60 s")
+                    time.sleep(0.01)
+            state.points.append((state.iteration, stop, tag))
+            state.iteration = stop
+            return state, RunMetrics(tag, seed, 5, points=list(state.points))
+
+        monkeypatch.setattr(experiments, "train", waiting)
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+        fs_train, _, fs_test = split
+        runs = [m for m, _ in run_grid(["ModelB", "ModelC", "ModelD"], [0], fs_train, fs_test,
+                                       CurriculumParams(seed=0), scale=0.001)]
+        assert [m.points for m in runs] == [
+            [(0, 300, "ModelB"), (300, 700, "ModelB")],
+            [(0, 300, "ModelB"), (300, 500, "ModelC"), (500, 700, "ModelC")],
+            [(0, 300, "ModelB"), (300, 500, "ModelC"), (500, 700, "ModelD")]]
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
     @pytest.mark.parametrize("grid", sorted(GRIDS))

@@ -444,3 +444,11 @@ class TestHoldoutSplit:
         fs, truth = generate_synthetic(PLANT)
         with pytest.raises(ValueError):
             holdout_split(fs, truth, 0.0, 1)
+
+    def test_no_clean_sample_held_out(self):
+        # Two clean samples per category: 0.2 of 2 rounds to none.
+        cfg = SynthConfig(n_categories=3, per_category=2, n_features=4, clean_frac=1.0,
+                          cross_frac=0.0, uniform_frac=0.0, seed=0)
+        fs, truth = generate_synthetic(cfg)
+        with pytest.raises(ValueError, match=r"test_frac 0\.2 holds out no clean sample"):
+            holdout_split(fs, truth, 0.2, 0)
