@@ -87,11 +87,11 @@ def category_correct_rates(
     """Per-category fraction of samples whose given label matches the
     reference."""
     wrong = _mismatches(cd, reference)
-    out = np.empty(cd.n_categories, dtype=np.float64)
-    for c in range(cd.n_categories):
-        mask = cd.categories == c
-        out[c] = 1.0 - wrong[mask].mean()
-    return out
+    c = cd.n_categories
+    n = np.bincount(cd.categories, minlength=c)[:c]
+    n_wrong = np.bincount(cd.categories[wrong], minlength=c)[:c]
+    with np.errstate(invalid="ignore"):  # 0 / 0: nan for an empty category
+        return 1.0 - n_wrong / n
 
 
 def rate_bin(rate: float) -> int:

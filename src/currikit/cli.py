@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -53,7 +54,7 @@ OUT_DIR_ENV = "CURRIKIT_OUT"
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # "#" after whitespace
         if not line:
             continue
         if "=" not in line:

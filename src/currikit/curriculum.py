@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet, _frozen
+from .data import FeatureSet, _frozen, category_rows
 from .density import density_profile
 from .fileio import atomic_write_text
 from .seeding import component_rng
@@ -104,22 +104,17 @@ class CurriculumDesign:
 
     def category_stats(self) -> list[CategoryStats]:
         stats = []
-        for c in range(self.n_categories):
-            mask = self.categories == c
-            lv = self.levels[mask]
-            dist = self.dist_to_center[mask]
-            sizes, means = [], []
-            for s in range(self.n_subsets):
-                sel = lv == s
-                sizes.append(int(sel.sum()))
-                means.append(float(dist[sel].mean()) if sel.any() else math.nan)
+        for c, rows in enumerate(category_rows(self.categories, self.n_categories)):
+            dist = self.dist_to_center[rows]
+            by_level = category_rows(self.levels[rows], self.n_subsets)
             stats.append(
                 CategoryStats(
                     category_id=c,
-                    n=int(mask.sum()),
+                    n=rows.size,
                     d_c=float(self.d_c[c]),
-                    subset_sizes=tuple(sizes),
-                    mean_dist=tuple(means),
+                    subset_sizes=tuple(r.size for r in by_level),
+                    mean_dist=tuple(float(dist[r].mean()) if r.size else math.nan
+                                    for r in by_level),
                 )
             )
         return stats
@@ -210,8 +205,7 @@ def _design(fs: FeatureSet, params: CurriculumParams, category_rule) -> Curricul
     dist = np.zeros(fs.n_samples, dtype=np.float64)
     center_ids: list[str] = []
     dcs = np.zeros(fs.n_categories, dtype=np.float64)
-    for c in range(fs.n_categories):
-        idx = fs.category_indices(c)
+    for c, idx in enumerate(category_rows(fs.labels, fs.n_categories)):
         feats = fs.features[idx].astype(np.float64)
         cat_levels, cat_dist, center, dcs[c] = category_rule(c, feats, params)
         levels[idx] = cat_levels
@@ -338,15 +332,10 @@ def curriculum_to_json(cd: CurriculumDesign) -> str:
         '"kmeans_max_iters": %d, "seed": %d}, "categories": ['
         % (CURRICULUM_VERSION, _fmt_exact(p.k_percent), p.n_subsets, p.kmeans_max_iters, p.seed)
     ]
-    # Each category's samples in their order: a run of the stable sort.
-    order = np.argsort(cd.categories, kind="stable")
-    cats = np.arange(cd.n_categories)
-    lo, hi = (np.searchsorted(cd.categories[order], cats, side).tolist()
-              for side in ("left", "right"))
-    order = order.tolist()
+    rows = [r.tolist() for r in category_rows(cd.categories, cd.n_categories)]
     if not (np.isfinite(cd.dist_to_center).all() and np.isfinite(cd.d_c).all()):
-        for c in cats.tolist():  # raise on the first in output order
-            for i in order[lo[c]:hi[c]]:
+        for c, cat_rows in enumerate(rows):  # raise on the first in output order
+            for i in cat_rows:
                 _fmt_float(cd.dist_to_center[i])
             _fmt_float(cd.d_c[c])
     ids, levels, dists = cd.sample_ids, cd.levels.tolist(), cd.dist_to_center.tolist()
@@ -356,7 +345,7 @@ def curriculum_to_json(cd: CurriculumDesign) -> str:
         samples = ", ".join(
             '{"id": %s, "level": %d, "dist": %s}'
             % (json.dumps(ids[i]), levels[i], _fmt_float(dists[i]))
-            for i in order[lo[c]:hi[c]]
+            for i in rows[c]
         )
         out.append(
             '{"category_id": %d, "center_id": %s, "d_c": %s, "samples": [%s]}'

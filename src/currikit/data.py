@@ -86,6 +86,13 @@ def _names_its_file(load):
     return wrapper
 
 
+def category_rows(labels: np.ndarray, n_categories: int) -> list[np.ndarray]:
+    """Each category's rows of `labels` in ascending order, from one stable
+    sort; a label outside [0, n_categories) is in no category's rows."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.searchsorted(labels[order], np.arange(n_categories + 1)))[1:-1]
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureSet:
     """N feature vectors with per-sample noisy category labels.
@@ -155,9 +162,6 @@ class FeatureSet:
     def empty_categories(self) -> tuple[int, ...]:
         present = np.bincount(self.labels, minlength=self.n_categories)
         return tuple(int(c) for c in np.flatnonzero(present == 0))
-
-    def category_indices(self, category: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == category)
 
     def take(self, indices) -> "FeatureSet":
         """Rows by number, in order, or by a full-length mask; all categories kept."""
@@ -617,10 +621,16 @@ class SynthConfig:
             raise ValueError("per_category must be >= 1")
         if self.n_features < 1:
             raise ValueError("n_features must be >= 1")
+        for name in ("clean_frac", "cross_frac", "uniform_frac", "blob_sigma", "box_margin_sigmas"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.blob_sigma <= 0:
             raise ValueError("blob_sigma must be positive")
         if self.box_margin_sigmas <= 0:
             raise ValueError("box_margin_sigmas must be positive")
+        if not math.isfinite(2 * (self.box_margin_sigmas * self.blob_sigma)):  # 2 margins wide
+            raise ValueError(f"box_margin_sigmas * blob_sigma = {self.box_margin_sigmas!r} * "
+                             f"{self.blob_sigma!r} makes the uniform-noise box infinitely wide")
         fracs = (self.clean_frac, self.cross_frac, self.uniform_frac)
         if any(f < 0 for f in fracs):
             raise ValueError("noise fractions must be non-negative")

@@ -38,7 +38,7 @@ from .curriculum import CurriculumDesign, CurriculumParams, design
 from .data import FeatureSet
 from .schedule import StageSpec, default_schedule, plain_schedule, report_moves, spans
 from .seeding import component_rng
-from .trainer import RunMetrics, TrainState, replay_batches, train
+from .trainer import RunMetrics, TrainState, _check_model, _check_topk, replay_batches, train
 
 # tag -> (design method, stages of the reference plan; None = plain schedule)
 _STRATEGIES = {
@@ -65,17 +65,22 @@ class CurriculumCache:
         return self._cache[method]
 
 
+def _schedule(tag: str, batch_size: int, scale: float) -> tuple[str, list[StageSpec]]:
+    """The design method and the schedule of strategy `tag`."""
+    if tag not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {tag!r}; expected one of {STRATEGY_TAGS}")
+    method, n_stages = _STRATEGIES[tag]
+    if n_stages is None:
+        return method, plain_schedule(batch_size, scale)
+    return method, default_schedule(batch_size, scale, n_stages)
+
+
 def build_strategy(
     tag: str, curricula: CurriculumCache, batch_size: int, scale: float
 ) -> tuple[CurriculumDesign, list[StageSpec]]:
     """The (curriculum, schedule) pair that strategy `tag` trains with."""
-    if tag not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {tag!r}; expected one of {STRATEGY_TAGS}")
-    method, n_stages = _STRATEGIES[tag]
-    cd = curricula.get(method)
-    if n_stages is None:
-        return cd, plain_schedule(batch_size, scale)
-    return cd, default_schedule(batch_size, scale, n_stages)
+    method, schedule = _schedule(tag, batch_size, scale)
+    return curricula.get(method), schedule
 
 
 def restrict_highly_noisy(
@@ -115,8 +120,9 @@ def run_grid(
     """Train every strategy x seed, or with `fractions` every strategy x
     fraction x seed, and yield each run's (metrics, batch log or None) in
     that order. Each curriculum is designed once. An empty strategy, seed
-    or fraction list, or a strategy or seed listed twice, raises ValueError
-    before anything is designed.
+    or fraction list, a strategy or seed listed twice, a batch size or scale
+    that gives a strategy no valid schedule, or a `hidden_dim` or `topk`
+    that no run could train with raises ValueError before anything is designed.
 
     A fraction run keeps only a seeded uniform share of the highly-noisy
     subset (:func:`restrict_highly_noisy`) and is tagged
@@ -159,6 +165,10 @@ def run_grid(
         if twin is not None:
             raise ValueError(f"fractions {twin!r} and {f!r} share the run tag suffix "
                              f"@hn={f:g}; each fraction needs its own tag")
+    for tag in tags:
+        _schedule(tag, batch_size, scale)
+    _check_model(arch, hidden_dim)
+    _check_topk(topk, fs_train.n_categories)
     with _one_blas_thread() as capped:
         curricula = CurriculumCache(fs_train, params)
         strategies = {tag: build_strategy(tag, curricula, batch_size, scale) for tag in tags}

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .curriculum import CurriculumDesign
-from .data import FeatureSet, NOISE_CLEAN, SyntheticTruth
+from .data import FeatureSet, NOISE_CLEAN, SyntheticTruth, category_rows
 from .schedule import CurriculumSampler, StageSpec, report_moves, spans
 from .seeding import component_rng
 
@@ -94,6 +94,20 @@ def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return flat
 
 
+def _check_model(arch: str, hidden_dim: int) -> None:
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}")
+    if hidden_dim < 1:
+        raise ValueError(f"hidden_dim must be at least 1, got {hidden_dim}")
+
+
+def _check_topk(topk: int, n_classes: int) -> None:
+    if topk < 1:
+        raise ValueError(f"topk must be at least 1, got {topk}")
+    if topk > n_classes:
+        raise ValueError("topk exceeds the number of classes")
+
+
 @dataclass
 class ClassifierModel:
     """Linear or one-hidden-layer softmax classifier over feature vectors.
@@ -123,10 +137,7 @@ class ClassifierModel:
         train_features: np.ndarray | None = None,
     ) -> "ClassifierModel":
         """Weights from a Gaussian with variance 2 / fan_in, zero biases."""
-        if arch not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {arch!r}")
-        if hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be at least 1, got {hidden_dim}")
+        _check_model(arch, hidden_dim)
         def gauss(fan_in: int, shape) -> np.ndarray:
             return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
         if arch == "linear":
@@ -291,10 +302,7 @@ def evaluate(
     nan for categories absent from the test set."""
     if fs_test.n_samples == 0:
         raise ValueError("empty test set")
-    if topk < 1:
-        raise ValueError(f"topk must be at least 1, got {topk}")
-    if topk > model.n_classes:
-        raise ValueError("topk exceeds the number of classes")
+    _check_topk(topk, model.n_classes)
     ranked = top_k_predictions(model.forward(fs_test.features), topk)
     labels = fs_test.labels
     miss1 = ranked[:, 0] != labels
@@ -303,14 +311,10 @@ def evaluate(
     if not by_category:
         return errors
     c = fs_test.n_categories
-    acc1 = np.full(c, math.nan)
-    acck = np.full(c, math.nan)
-    for cat in range(c):
-        mask = labels == cat
-        if mask.any():
-            acc1[cat] = float((~miss1[mask]).mean())
-            acck[cat] = float((~missk[mask]).mean())
-    return errors + (acc1, acck)
+    n = np.bincount(labels, minlength=c)
+    return errors + tuple(np.divide(np.bincount(labels[~miss], minlength=c), n,
+                                    out=np.full(c, math.nan), where=n > 0)
+                          for miss in (miss1, missk))
 
 
 def _stage_pool_loss(model: ClassifierModel, train_z: np.ndarray, pool: np.ndarray,
@@ -485,8 +489,8 @@ def holdout_split(
     rng = component_rng(seed, "holdout")
     kinds = np.array([k == NOISE_CLEAN for k in truth.noise_kind])
     test_mask = np.zeros(fs.n_samples, dtype=bool)
-    for c in range(fs.n_categories):
-        clean_idx = np.flatnonzero(kinds & (fs.labels == c))
+    for rows in category_rows(fs.labels, fs.n_categories):
+        clean_idx = rows[kinds[rows]]
         n_test = int(math.floor(test_frac * clean_idx.size + 0.5))
         if clean_idx.size and n_test == clean_idx.size:
             n_test -= 1  # keep at least one clean training sample

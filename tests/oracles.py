@@ -323,6 +323,31 @@ def _cursor_records(
     return features, labels, tuple(ids)
 
 
+def mask_accuracies(labels: np.ndarray, miss1: np.ndarray, missk: np.ndarray,
+                    c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-category (top-1, top-k) accuracies from the per-row misses, one
+    mask and mean per category; nan for a category absent from `labels`."""
+    acc1 = np.full(c, math.nan)
+    acck = np.full(c, math.nan)
+    for cat in range(c):
+        mask = labels == cat
+        if mask.any():
+            acc1[cat] = float((~miss1[mask]).mean())
+            acck[cat] = float((~missk[mask]).mean())
+    return acc1, acck
+
+
+def mask_correct_rates(categories: np.ndarray, wrong: np.ndarray,
+                       n_categories: int) -> np.ndarray:
+    """Per-category fraction of rows not marked `wrong`, one mask and mean
+    per category; the mean of an empty category is numpy's nan."""
+    out = np.empty(n_categories, dtype=np.float64)
+    for c in range(n_categories):
+        mask = categories == c
+        out[c] = 1.0 - wrong[mask].mean()
+    return out
+
+
 # Test-only helpers over library types and kernels.
 
 def weighted_ce_loss(

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from currikit.analysis import (
 from currikit.curriculum import CurriculumDesign, CurriculumParams, design_curriculum
 from currikit.data import SynthConfig, generate_synthetic
 from currikit.trainer import RunMetrics
-from oracles import reference_from_truth
+from oracles import mask_correct_rates, reference_from_truth
 
 
 def fixture_design(levels, categories, ids=None):
@@ -69,6 +71,26 @@ class TestCorrectRates:
         reference = {"s0": 0, "s1": 5, "s2": 1, "s3": 1}
         rates = category_correct_rates(cd, reference)
         assert rates.tolist() == [0.5, 1.0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_mask_loop_with_an_empty_category(self, seed):
+        fs, truth = generate_synthetic(SynthConfig(5, 40, 8, 0.6, 0.25, 0.15, seed=seed))
+        reference = reference_from_truth(fs, truth)
+        cd = design_curriculum(fs, CurriculumParams(seed=seed))
+        keep = cd.categories != seed % 5
+        cd = replace(cd, sample_ids=tuple(s for s, k in zip(cd.sample_ids, keep) if k),
+                     categories=cd.categories[keep], levels=cd.levels[keep],
+                     dist_to_center=cd.dist_to_center[keep])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = category_correct_rates(cd, reference)
+        wrong = cd.categories != np.array([reference[s] for s in cd.sample_ids])
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of an empty slice
+            expected = mask_correct_rates(cd.categories, wrong, cd.n_categories)
+        assert rates.tobytes() == expected.tobytes()
+        assert math.isnan(rates[seed % 5])
+        assert ((rates > 0) & (rates < 1)).any()
 
 
 def metrics_with(topk_acc):

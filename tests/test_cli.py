@@ -50,6 +50,24 @@ class TestSynth:
         assert "currikit: error: noise fractions" in result.stderr
 
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--blob-sigma", "nan", "blob_sigma must be finite, got nan"),
+        ("--blob-sigma", "inf", "blob_sigma must be finite, got inf"),
+        ("--box-margin", "nan", "box_margin_sigmas must be finite, got nan"),
+        ("--box-margin", "inf", "box_margin_sigmas must be finite, got inf"),
+        ("--box-margin", "1e308", "box_margin_sigmas * blob_sigma = 1e+308 * 2.0 makes the "
+                                  "uniform-noise box infinitely wide"),
+        ("--uniform-frac", "nan", "uniform_frac must be finite, got nan"),
+        ("--clean-frac", "nan", "clean_frac must be finite, got nan"),
+    ])
+    def test_non_finite_option_exit_1(self, tmp_path, flag, value, message):
+        r = run_cli(["synth", "--categories", "3", "--per-category", "20", "--dim", "4",
+                     flag, value, "--out-dir", "out"], cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr == f"currikit: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestDesign:
     def test_design_and_rerun(self, workspace):
         args = ["design", "--features", "features.bin", "--out-dir", "."]
@@ -283,6 +301,17 @@ class TestTrain:
 
 
 class TestAnalyze:
+    def test_empty_category_prints_no_warning(self, workspace):
+        r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((workspace / "curriculum.json").read_text())
+        doc["categories"][1]["samples"] = []
+        (workspace / "curriculum.json").write_text(json.dumps(doc))
+        r = run_cli(["analyze", "--curriculum", "curriculum.json",
+                     "--reference", "truth.csv", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+
     def test_audit_outputs(self, workspace):
         r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
         assert r.returncode == 0, r.stderr
@@ -552,6 +581,23 @@ class TestConfigAndEnv:
         assert r.returncode == 2, r.stderr
         assert "currikit: error: config key batch_log = 'maybe' must be true or false" in r.stderr
         assert not (workspace / "out").exists()
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        (tmp_path / "run.cfg").write_text("# a comment line\nout-dir = runs#2\n")
+        r = run_cli(SYNTH + ["--config", "run.cfg"], cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "runs#2" / "features.bin").exists()
+        assert not (tmp_path / "runs").exists()
+
+    def test_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        (tmp_path / "run.cfg").write_text("seed = 9  # note\nout-dir = a\t# tab\n")
+        r = run_cli(["synth", "--config", "run.cfg", "--per-category", "20"], cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["synth", "--seed", "9", "--per-category", "20", "--out-dir", "b"],
+                    cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "a" / "features.bin").read_bytes() == \
+            (tmp_path / "b" / "features.bin").read_bytes()
 
     def test_out_dir_env_override(self, tmp_path):
         target = tmp_path / "from-env"

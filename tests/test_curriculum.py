@@ -177,7 +177,7 @@ class TestDesignCurriculum:
             fs, _ = generate_synthetic(SynthConfig(4, 30, 6, 0.6, 0.25, 0.15, seed=seed))
             cd = design_curriculum(fs, CurriculumParams(seed=seed))
             for c in range(fs.n_categories):
-                idx = fs.category_indices(c)
+                idx = np.flatnonzero(fs.labels == c)
                 d2 = naive_distance_matrix(fs.features[idx])
                 d_c = brute_cutoff(d2, 60.0)
                 rho = brute_local_density(d2, d_c)

@@ -2,8 +2,10 @@ import contextlib
 import csv
 import decimal
 import math
+import re
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -765,6 +767,24 @@ class TestGenerateSynthetic:
             SynthConfig(n_categories=2, per_category=10, n_features=2,
                         clean_frac=0.5, cross_frac=0.2, uniform_frac=0.2).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("clean_frac", math.nan), ("cross_frac", math.inf), ("uniform_frac", math.nan),
+        ("blob_sigma", math.nan), ("blob_sigma", math.inf),
+        ("box_margin_sigmas", math.nan), ("box_margin_sigmas", math.inf),
+    ])
+    def test_non_finite_field(self, field, value):
+        cfg = replace(SynthConfig(**BASE), **{field: value})
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value!r}")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("sigma, sigmas", [(1.0, 1e308), (1e200, 1e200)])
+    def test_box_margin_beyond_float_range(self, sigma, sigmas):
+        cfg = replace(SynthConfig(**BASE), blob_sigma=sigma, box_margin_sigmas=sigmas)
+        with pytest.raises(ValueError, match=re.escape(
+                f"box_margin_sigmas * blob_sigma = {sigmas!r} * {sigma!r} makes the "
+                "uniform-noise box infinitely wide")):
+            cfg.validate()
+
     def test_overcommitted_rounding(self):
         cfg = SynthConfig(n_categories=2, per_category=1, n_features=2,
                           clean_frac=0.5, cross_frac=0.5, uniform_frac=0.0)
@@ -777,6 +797,19 @@ class TestGenerateSynthetic:
                                                    cross_frac=0.0, uniform_frac=0.0, seed=2))
         ref = reference_from_truth(fs, truth)
         assert set(ref) == set(fs.sample_ids)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labels=st.lists(st.integers(-2, 11), max_size=60), n_categories=st.integers(0, 10))
+def test_category_rows_equal_per_category_masks(labels, n_categories):
+    # Empty categories, and labels below 0 or at or past n_categories, which
+    # are in no category's rows.
+    labels = np.array(labels, dtype=np.int64)
+    rows = data.category_rows(labels, n_categories)
+    assert len(rows) == n_categories
+    for c, r in enumerate(rows):
+        assert r.dtype == np.intp
+        assert np.array_equal(r, np.flatnonzero(labels == c))
 
 
 class TestTake:

@@ -150,6 +150,24 @@ needs_blas_cap = pytest.mark.skipif(
 )
 
 
+@pytest.mark.parametrize("options, message", [
+    (dict(scale=1e-6), "scale 1e-06 leaves stage 0 with no iterations"),
+    (dict(batch_size=6), "batch_size must be a positive multiple of 4"),
+    (dict(topk=0), "topk must be at least 1, got 0"),
+    (dict(topk=11), "topk exceeds the number of classes"),
+    (dict(arch="mlp", hidden_dim=0), "hidden_dim must be at least 1, got 0"),
+], ids=["scale", "batch-size", "topk-0", "topk-11", "hidden-dim"])
+def test_bad_run_option_rejected_before_any_design(split, monkeypatch, options, message):
+    def design(*args):
+        raise AssertionError("designed before the run options were checked")
+
+    monkeypatch.setattr(experiments, "design", design)
+    fs_train, _, fs_test = split
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(run_grid(["ModelB", "ModelD"], [0], fs_train, fs_test, CurriculumParams(seed=0),
+                      **{"scale": 0.0002, **options}))
+
+
 def _os_threads() -> int:
     with open("/proc/self/stat") as f:
         return int(f.read().rsplit(")", 1)[1].split()[17])

@@ -36,6 +36,7 @@ from oracles import (
     alloc_momentum_step,
     alloc_weighted_ce_loss,
     finite_diff_grad,
+    mask_accuracies,
     relative_error,
     weighted_ce_loss,
 )
@@ -426,6 +427,28 @@ class TestTrain:
         acc1, acck = evaluate(model, te, 5, by_category=True)[2:]
         assert np.allclose(acc1, metrics.per_category_top1, equal_nan=True)
         assert np.allclose(acck, metrics.per_category_topk, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_per_category_accuracies_equal_mask_loop(seed):
+    # Bit for bit, with one category absent from the test set (nan).
+    fs, _ = generate_synthetic(SynthConfig(6, 23, 5, 0.6, 0.25, 0.15, seed=seed))
+    absent = seed % 6
+    te = fs.take(fs.labels != absent)
+    model = ClassifierModel.initialize("mlp", 5, 6, np.random.default_rng(seed), hidden_dim=4,
+                                       train_features=fs.features)
+    fractional = 0
+    for topk in (1, 3):
+        acc1, acck = evaluate(model, te, topk, by_category=True)[2:]
+        ranked = top_k_predictions(model.forward(te.features), topk)
+        miss1 = ranked[:, 0] != te.labels
+        missk = (ranked != te.labels[:, None]).all(axis=1)
+        expected1, expectedk = mask_accuracies(te.labels, miss1, missk, 6)
+        assert acc1.tobytes() == expected1.tobytes()
+        assert acck.tobytes() == expectedk.tobytes()
+        assert math.isnan(acc1[absent]) and math.isnan(acck[absent])
+        fractional += int(((acck > 0) & (acck < 1)).sum())
+    assert fractional, "no accuracy strictly between 0 and 1"
 
 
 class TestHoldoutSplit:
