@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .curriculum import CurriculumDesign
+from .data import category_rows
 from .trainer import RunMetrics
 
 N_BINS = 10
@@ -41,10 +42,11 @@ class NoiseAudit:
     ``histogram[b]`` counts categories whose correct rate falls in
     [b/10, (b+1)/10); a rate of exactly 1.0 lands in the top bin.
     ``interval_gains[b]`` is the mean top-k accuracy gain (curriculum minus
-    baseline) over the bin's categories, nan where the bin is empty.
+    baseline) over the bin's categories with a finite gain, nan where there
+    is none. A category with no samples has no correct rate (nan): it is in
+    no bin and adds no gain.
     """
 
-    correct_rates: tuple[float, ...]
     histogram: tuple[int, ...]
     interval_gains: tuple[float, ...]
 
@@ -63,20 +65,16 @@ def subset_noise_rates(
     cd: CurriculumDesign, reference: Mapping[str, int]
 ) -> SubsetNoiseRates:
     """Fraction of each subset level whose given label disagrees with the
-    reference (ground truth or an external auditor's predictions)."""
+    reference (ground truth or an external auditor's predictions). A sample
+    whose level is outside [0, n_subsets) counts toward no level."""
     wrong = _mismatches(cd, reference)
-    sizes, bad, rates = [], [], []
-    for level in range(cd.n_subsets):
-        mask = cd.levels == level
-        size = int(mask.sum())
-        mis = int(wrong[mask].sum())
-        sizes.append(size)
-        bad.append(mis)
-        rates.append(mis / size if size else math.nan)
+    by_level = category_rows(cd.levels, cd.n_subsets)
+    sizes = tuple(rows.size for rows in by_level)
+    bad = tuple(int(np.count_nonzero(wrong[rows])) for rows in by_level)
     return SubsetNoiseRates(
-        sizes=tuple(sizes),
-        mislabeled=tuple(bad),
-        rates=tuple(rates),
+        sizes=sizes,
+        mislabeled=bad,
+        rates=tuple(m / n if n else math.nan for m, n in zip(bad, sizes)),
         overall_rate=sum(bad) / cd.n_samples,
     )
 
@@ -94,10 +92,14 @@ def category_correct_rates(
         return 1.0 - n_wrong / n
 
 
-def rate_bin(rate: float) -> int:
-    if not 0.0 <= rate <= 1.0:
-        raise AnalysisError(f"correct rate {rate} outside [0, 1]")
-    return min(int(rate * N_BINS), N_BINS - 1)
+def rate_bin(rate: float | np.ndarray) -> np.ndarray:
+    """The bin of each correct rate: b for [b/10, (b+1)/10), and the top bin
+    for 1.0. A rate outside [0, 1], nan included, raises AnalysisError."""
+    rate = np.asarray(rate, dtype=np.float64)
+    outside = rate[~((rate >= 0.0) & (rate <= 1.0))]
+    if outside.size:
+        raise AnalysisError(f"correct rate {outside[0]} outside [0, 1]")
+    return np.minimum((rate * N_BINS).astype(np.int64), N_BINS - 1)
 
 
 def rate_interval_report(
@@ -114,19 +116,16 @@ def rate_interval_report(
             raise AnalysisError(
                 f"{name} metrics lack per-category accuracies for {c} categories"
             )
-    gains = curriculum.per_category_topk - baseline.per_category_topk
-    histogram = [0] * N_BINS
-    bin_gains: list[list[float]] = [[] for _ in range(N_BINS)]
-    for cat in range(c):
-        b = rate_bin(float(correct_rates[cat]))
-        histogram[b] += 1
-        if math.isfinite(gains[cat]):
-            bin_gains[b].append(float(gains[cat]))
-    interval_gains = tuple(
-        sum(g) / len(g) if g else math.nan for g in bin_gains
-    )
+    has_rate = ~np.isnan(correct_rates)
+    bins = rate_bin(correct_rates[has_rate])
+    gains = (curriculum.per_category_topk - baseline.per_category_topk)[has_rate]
+    finite = np.isfinite(gains)
+    # A weighted bincount adds each bin's gains in category order from 0.0.
+    total = np.bincount(bins[finite], weights=gains[finite], minlength=N_BINS)
+    count = np.bincount(bins[finite], minlength=N_BINS)
+    with np.errstate(invalid="ignore"):  # 0 / 0: nan for a bin without a finite gain
+        mean = total / count
     return NoiseAudit(
-        correct_rates=tuple(float(r) for r in correct_rates),
-        histogram=tuple(histogram),
-        interval_gains=interval_gains,
+        histogram=tuple(np.bincount(bins, minlength=N_BINS).tolist()),
+        interval_gains=tuple(mean.tolist()),
     )

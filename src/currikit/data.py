@@ -48,6 +48,9 @@ NO_CATEGORY = -1
 #: Blob centers are drawn uniformly from this box in every dimension.
 CENTER_BOX = (0.0, 10.0)
 
+#: The largest finite float32, which every feature value must fit under.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 #: Default reach of the uniform-noise bounding box past the blob centers, in
 #: blob sigmas. Far-out background noise keeps the noise bands of the
 #: designed curriculum well separated from the category structure.
@@ -631,6 +634,10 @@ class SynthConfig:
         if not math.isfinite(2 * (self.box_margin_sigmas * self.blob_sigma)):  # 2 margins wide
             raise ValueError(f"box_margin_sigmas * blob_sigma = {self.box_margin_sigmas!r} * "
                              f"{self.blob_sigma!r} makes the uniform-noise box infinitely wide")
+        if CENTER_BOX[1] + self.box_margin_sigmas * self.blob_sigma > FLOAT32_MAX:
+            raise ValueError(f"box_margin_sigmas * blob_sigma = {self.box_margin_sigmas!r} * "
+                             f"{self.blob_sigma!r} puts the uniform-noise box outside "
+                             f"float32's range (±{FLOAT32_MAX:.7g})")
         fracs = (self.clean_frac, self.cross_frac, self.uniform_frac)
         if any(f < 0 for f in fracs):
             raise ValueError("noise fractions must be non-negative")
@@ -648,6 +655,7 @@ class SynthConfig:
         return n_clean, n_cross, n_uniform
 
 
+@np.errstate(over="ignore")  # a draw past float32's range raises below, naming the options
 def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureSet, SyntheticTruth]:
     """Deterministic synthetic dataset with planted label noise.
 
@@ -688,8 +696,12 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureSet, SyntheticTruth]:
         kinds.extend([NOISE_CROSS] * n_cross)
         kinds.extend([NOISE_UNIFORM] * n_uniform)
 
+    features = np.vstack(feats)
+    if not np.isfinite(features).all():  # a Gaussian draw far out in the tail
+        raise ValueError(f"blob_sigma = {cfg.blob_sigma!r} with box_margin_sigmas = "
+                         f"{cfg.box_margin_sigmas!r} draws a feature value outside float32's range")
     fs = FeatureSet(
-        features=np.vstack(feats),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
         sample_ids=tuple(ids),
         category_names=tuple(f"cat{c:03d}" for c in range(c_count)),

@@ -55,7 +55,6 @@ class DensityProfile:
 
     rho: np.ndarray
     d_c: float
-    k_percent: float
     center: int
     center_dist: np.ndarray
 
@@ -493,7 +492,6 @@ def density_profile(
     return DensityProfile(
         rho=rho,
         d_c=d_c,
-        k_percent=float(k_percent),
         center=center,
         center_dist=center_dist,
     )

@@ -348,6 +348,46 @@ def mask_correct_rates(categories: np.ndarray, wrong: np.ndarray,
     return out
 
 
+def mask_noise_rates(levels: np.ndarray, wrong: np.ndarray, n_subsets: int
+                     ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...], float]:
+    """Per-level sizes, mislabeled counts and rates, one mask per level, and
+    the overall rate over all rows; a level outside [0, n_subsets) counts
+    toward no level, and an empty level's rate is nan."""
+    sizes, bad, rates = [], [], []
+    for level in range(n_subsets):
+        mask = levels == level
+        size = int(mask.sum())
+        mis = int(wrong[mask].sum())
+        sizes.append(size)
+        bad.append(mis)
+        rates.append(mis / size if size else math.nan)
+    return tuple(sizes), tuple(bad), tuple(rates), sum(bad) / len(levels)
+
+
+def loop_rate_intervals(correct_rates: np.ndarray, gains: np.ndarray
+                        ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Ten-bin histogram of correct rates in [0, 1] (1.0 in the top bin) and
+    each bin's mean finite gain, nan where there is none; one category at a
+    time, each bin's gains added in category order from 0.0."""
+    histogram = [0] * 10
+    bin_gains: list[list[float]] = [[] for _ in range(10)]
+    for cat in range(len(correct_rates)):
+        rate = float(correct_rates[cat])
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"correct rate {rate} outside [0, 1]")
+        b = min(int(rate * 10), 9)
+        histogram[b] += 1
+        if math.isfinite(gains[cat]):
+            bin_gains[b].append(float(gains[cat]))
+    means = []
+    for g in bin_gains:
+        total = 0.0
+        for x in g:
+            total += x
+        means.append(total / len(g) if g else math.nan)
+    return tuple(histogram), tuple(means)
+
+
 # Test-only helpers over library types and kernels.
 
 def weighted_ce_loss(

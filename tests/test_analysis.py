@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from currikit.analysis import (
     AnalysisError,
@@ -16,7 +18,12 @@ from currikit.analysis import (
 from currikit.curriculum import CurriculumDesign, CurriculumParams, design_curriculum
 from currikit.data import SynthConfig, generate_synthetic
 from currikit.trainer import RunMetrics
-from oracles import mask_correct_rates, reference_from_truth
+from oracles import (
+    loop_rate_intervals,
+    mask_correct_rates,
+    mask_noise_rates,
+    reference_from_truth,
+)
 
 
 def fixture_design(levels, categories, ids=None):
@@ -157,3 +164,61 @@ class TestRateIntervalReport:
         a2 = rate_interval_report(rates, base, curr)
         assert json.dumps(a1.histogram) == json.dumps(a2.histogram)
         assert repr(a1.interval_gains) == repr(a2.interval_gains)
+
+
+# Rates at the bin edges, written both as 0.1 * k and as k / 10 (they differ
+# for k = 3, 6 and 7), and anywhere in [0, 1].
+EDGE_RATES = sorted({0.1 * k for k in range(11)} | {k / 10 for k in range(11)})
+RATES = st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.0))
+ACCURACIES = st.one_of(st.floats(0.0, 1.0), st.just(math.nan))
+# Curriculum accuracies that make nan, inf and -inf gains as well.
+SHIFTED = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_subsets=st.integers(1, 5),
+       rows=st.lists(st.tuples(st.integers(-2, 6), st.booleans()), min_size=1, max_size=40))
+def test_subset_noise_rates_equal_mask_loop(n_subsets, rows):
+    # Levels below 0 or at or past n_subsets, and empty levels.
+    levels = np.array([level for level, _ in rows])
+    wrong = np.array([w for _, w in rows])
+    cd = CurriculumDesign(
+        params=CurriculumParams(n_subsets=n_subsets),
+        sample_ids=tuple(f"s{i}" for i in range(len(rows))),
+        categories=np.zeros(len(rows)), levels=levels,
+        dist_to_center=np.zeros(len(rows)), center_ids=("s0",), d_c=np.zeros(1),
+    )
+    rates = subset_noise_rates(cd, {f"s{i}": int(w) for i, w in enumerate(wrong)})
+    got = (rates.sizes, rates.mislabeled, rates.rates, rates.overall_rate)
+    assert repr(got) == repr(mask_noise_rates(levels, wrong, n_subsets))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cats=st.lists(st.tuples(RATES, ACCURACIES, SHIFTED), max_size=30))
+@example(cats=[])
+@example(cats=[(0.3, 0.0, 0.1), (0.1 * 3, 0.0, 0.2), (1.0, 0.5, math.inf), (0.0, math.nan, 1.0)])
+# Added in category order, 1.0 absorbs each 1e-16; added smallest first, it
+# does not.
+@example(cats=[(0.65, 0.0, 1.0), (0.65, 0.0, 1e-16), (0.65, 0.0, 1e-16)])
+def test_rate_intervals_equal_category_loop(cats):
+    rates, base, curr = (np.array([c[i] for c in cats], dtype=np.float64) for i in range(3))
+    audit = rate_interval_report(rates, metrics_with(base), metrics_with(curr))
+    expected = loop_rate_intervals(rates, curr - base)
+    assert repr((audit.histogram, audit.interval_gains)) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cats=st.lists(st.tuples(st.one_of(RATES, st.just(math.nan)), ACCURACIES, SHIFTED),
+                     max_size=30))
+def test_category_without_a_rate_is_in_no_bin(cats):
+    rates, base, curr = (np.array([c[i] for c in cats], dtype=np.float64) for i in range(3))
+    audit = rate_interval_report(rates, metrics_with(base), metrics_with(curr))
+    keep = ~np.isnan(rates)
+    expected = loop_rate_intervals(rates[keep], (curr - base)[keep])
+    assert repr((audit.histogram, audit.interval_gains)) == repr(expected)
+    assert sum(audit.histogram) == keep.sum()
+
+
+def test_rate_bin_of_nan_raises():
+    with pytest.raises(AnalysisError, match="correct rate nan outside"):
+        rate_bin(math.nan)

@@ -67,6 +67,28 @@ class TestSynth:
         assert r.stderr == f"currikit: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("options", [
+        ["--box-margin", "1e300"],
+        ["--blob-sigma", "1e300"],
+        # The box fits float32; the blob's Gaussian tail does not.
+        ["--blob-sigma", "3e38", "--box-margin", "1"],
+        ["--blob-sigma", "1e308", "--box-margin", "1e-300"],
+    ])
+    def test_features_past_float32_exit_1(self, tmp_path, options):
+        r = run_cli(["synth", "--categories", "3", "--per-category", "20", "--dim", "4",
+                     *options, "--out-dir", "out"], cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert re.fullmatch(r"currikit: error: [^\n]*box_margin_sigmas[^\n]*\n", r.stderr)
+        assert "blob_sigma" in r.stderr and "float32's range" in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_box_margin_inside_float32_writes(self, tmp_path):
+        r = run_cli(["synth", "--categories", "3", "--per-category", "20", "--dim", "4",
+                     "--box-margin", "1e38", "--out-dir", "out"], cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        assert (tmp_path / "out" / "features.bin").is_file()
+
 
 class TestDesign:
     def test_design_and_rerun(self, workspace):
@@ -311,6 +333,28 @@ class TestAnalyze:
                      "--reference", "truth.csv", "--out-dir", "."], cwd=workspace)
         assert r.returncode == 0, r.stderr
         assert r.stderr == ""
+
+    def test_empty_category_in_no_bin(self, workspace):
+        # A category with no samples has no correct rate, so the audit with
+        # runs leaves it out of every bin and gain.
+        r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(TRAIN + ["--strategies", "A,D", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((workspace / "curriculum.json").read_text())
+        doc["categories"][2]["samples"] = []
+        (workspace / "curriculum.json").write_text(json.dumps(doc))
+        r = run_cli(["analyze", "--curriculum", "curriculum.json",
+                     "--reference", "truth.csv",
+                     "--baseline-run", "run_ModelA_s0.json",
+                     "--curriculum-run", "run_ModelD_s0.json",
+                     "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        audit = json.loads((workspace / "audit.json").read_text())
+        with_samples = sum(1 for cat in doc["categories"] if cat["samples"])
+        assert with_samples == len(doc["categories"]) - 1
+        assert sum(audit["correct_rate_histogram"]) == with_samples
 
     def test_audit_outputs(self, workspace):
         r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -784,6 +785,29 @@ class TestGenerateSynthetic:
                 f"box_margin_sigmas * blob_sigma = {sigmas!r} * {sigma!r} makes the "
                 "uniform-noise box infinitely wide")):
             cfg.validate()
+
+    @pytest.mark.parametrize("sigma, sigmas", [(2.0, 1e300), (1e300, 14.0), (1.0, 3.41e38)])
+    def test_box_beyond_float32(self, sigma, sigmas):
+        cfg = replace(SynthConfig(**BASE), blob_sigma=sigma, box_margin_sigmas=sigmas)
+        with pytest.raises(ValueError, match=re.escape(
+                f"box_margin_sigmas * blob_sigma = {sigmas!r} * {sigma!r} puts the "
+                "uniform-noise box outside float32's range")):
+            cfg.validate()
+
+    def test_box_inside_float32(self):
+        cfg = replace(SynthConfig(**BASE), blob_sigma=1.0, box_margin_sigmas=1e38)
+        fs, _ = generate_synthetic(cfg)
+        assert np.isfinite(fs.features).all()
+
+    @pytest.mark.parametrize("sigma, sigmas", [(3e38, 1.0), (1e308, 1e-300)])
+    def test_gaussian_draw_beyond_float32(self, sigma, sigmas):
+        cfg = replace(SynthConfig(**BASE), blob_sigma=sigma, box_margin_sigmas=sigmas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"blob_sigma = {sigma!r} with box_margin_sigmas = {sigmas!r} draws a "
+                    "feature value outside float32's range")):
+                generate_synthetic(cfg)
 
     def test_overcommitted_rounding(self):
         cfg = SynthConfig(n_categories=2, per_category=1, n_features=2,

@@ -1,9 +1,9 @@
-"""Golden CLI runs: the exact bytes ``synth --format csv`` and every ``train``
-mode write.
+"""Golden CLI runs: the exact bytes ``synth --format csv``, ``design``, every
+``train`` mode and ``analyze`` with runs write.
 
-Each test runs ``synth``, and most then ``train``, in-process through
-``main`` on a small synthetic dataset and compares the sha256 of every file
-the last command wrote, and of its stdout, with recorded digests. Any drift
+Each test runs ``synth``, and most then ``design`` or ``train``, in-process
+through ``main`` on a small synthetic dataset and compares the sha256 of every
+file the last command wrote, and of its stdout, with recorded digests. Any drift
 in the run loop, the file names, the CSV and JSON writers or the summary
 tables shows here, not only in the benchmark's digests. The digests were recorded with numpy
 2.4.6 and OpenBLAS 0.3.31 on x86_64; another numeric build may round
@@ -73,6 +73,42 @@ def test_mlp_noisy_fraction_sweep(tmp_path, monkeypatch, capsys, cores):
     assert stdout == SWEEP_STDOUT
 
 
+DESIGN_SYNTH = ["--categories", "6", "--per-category", "40", "--dim", "8", "--seed", "2"]
+
+
+def _design(tmp_path, monkeypatch, capsys, cores):
+    """Run `synth` and `design` in tmp_path with `cores` usable cores and
+    return design's stdout."""
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out-dir", ".", *DESIGN_SYNTH]) == 0
+    capsys.readouterr()
+    assert main(["design", "--features", "features.bin", "--out-dir", "design"]) == 0
+    return capsys.readouterr().out
+
+
+@CORES
+def test_design(tmp_path, monkeypatch, capsys, cores):
+    stdout = _design(tmp_path, monkeypatch, capsys, cores)
+    assert _sha((tmp_path / "design" / "curriculum.json").read_bytes()) == DESIGN_CURRICULUM
+    assert _sha(stdout.encode()) == DESIGN_STDOUT
+
+
+@CORES
+def test_analyze_with_runs(tmp_path, monkeypatch, capsys, cores):
+    _design(tmp_path, monkeypatch, capsys, cores)
+    assert main(["train", "--features", "features.bin", "--truth", "truth.csv",
+                 "--strategies", "A,D", "--scale", "0.0003", "--batch-size", "32",
+                 "--topk", "3", "--out-dir", "runs"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--curriculum", "design/curriculum.json",
+                 "--reference", "truth.csv", "--baseline-run", "runs/run_ModelA_s0.json",
+                 "--curriculum-run", "runs/run_ModelD_s0.json", "--out-dir", "audit"]) == 0
+    files = {p.name: _sha(p.read_bytes()) for p in sorted((tmp_path / "audit").iterdir())}
+    assert files == ANALYZE_FILES
+    assert _sha(capsys.readouterr().out.encode()) == ANALYZE_STDOUT
+
+
 def test_synth_csv(tmp_path, monkeypatch, capsys):
     # Seed 7 draws one feature below 1e-4 (-9.3200324e-05), a value numpy's
     # str conversion prints in scientific notation; the file holds it
@@ -98,6 +134,18 @@ def test_synth_csv_outside_exact_path(tmp_path, monkeypatch, capsys):
     assert _sha(capsys.readouterr().out.encode()) == SYNTH_CSV_WIDE_STDOUT
 
 
+DESIGN_CURRICULUM = (
+    "7c2013643e800e1c109057a067883caeccd2b167d8fcca222908ac18365d3238")
+DESIGN_STDOUT = (
+    "d725775b0b34eaed2a5bbcda660d4d52048fc1497183b67b61a7012209a0aa62")
+ANALYZE_FILES = {
+    "audit.json":
+        "9ab12d96c148a1d6783f9373d8f155964b46179f7d2875d131eeff23fb3cf93d",
+    "rate_bins.csv":
+        "b1b6fbfd1574a26d4e85ca9a7c07ea446b245d41451fd271850920e1fc8f20d8",
+}
+ANALYZE_STDOUT = (
+    "3d86f4c7add06804836a0e30e3dfe81926e8fd341b9fb5f7489faa606181f380")
 SYNTH_CSV_WIDE_FILES = {
     "features.csv":
         "d94b0bf613af48eb1c47fd70daf2e830bcbc03d8c8dc61d059d86b124b5cafbd",
