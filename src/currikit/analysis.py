@@ -66,7 +66,10 @@ def subset_noise_rates(
 ) -> SubsetNoiseRates:
     """Fraction of each subset level whose given label disagrees with the
     reference (ground truth or an external auditor's predictions). A sample
-    whose level is outside [0, n_subsets) counts toward no level."""
+    whose level is outside [0, n_subsets) counts toward no level. A
+    curriculum with no samples raises AnalysisError."""
+    if not cd.n_samples:
+        raise AnalysisError("the curriculum holds no samples; there is nothing to audit")
     wrong = _mismatches(cd, reference)
     by_level = category_rows(cd.levels, cd.n_subsets)
     sizes = tuple(rows.size for rows in by_level)

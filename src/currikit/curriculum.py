@@ -434,4 +434,10 @@ def curriculum_from_json(text: str) -> CurriculumDesign:
 
 
 def load_curriculum(path: str | Path) -> CurriculumDesign:
-    return curriculum_from_json(Path(path).read_text(encoding="utf-8"))
+    """The curriculum file at `path`; each CurriculumError starts with the path."""
+    try:
+        return curriculum_from_json(Path(path).read_text(encoding="utf-8"))
+    except CurriculumError as exc:
+        raise CurriculumError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CurriculumError(f"{path}: not UTF-8 text") from None

@@ -79,13 +79,16 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _names_its_file(load):
-    """`load(path, ...)`, with every DatasetError it raises prefixed by the path."""
+    """`load(path, ...)`, with every DatasetError it raises prefixed by the
+    path; a file that is not UTF-8 raises one that names no row or position."""
     @functools.wraps(load)
     def wrapper(path, *args, **kwargs):
         try:
             return load(path, *args, **kwargs)
         except DatasetError as exc:
             raise DatasetError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise DatasetError(f"{path}: not UTF-8 text") from None
     return wrapper
 
 

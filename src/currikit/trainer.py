@@ -23,7 +23,10 @@ from .schedule import CurriculumSampler, StageSpec, report_moves, spans
 from .seeding import component_rng
 
 LOG_EPS = 1e-12
-ARCHITECTURES = ("linear", "mlp")
+#: Each architecture's layers, input first, as the names of their (weight,
+#: bias) parameters; a ReLU follows every layer but the last.
+_LAYERS = {"linear": (("W", "b"),), "mlp": (("W1", "b1"), ("W2", "b2"))}
+ARCHITECTURES = tuple(_LAYERS)
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
 
@@ -95,7 +98,7 @@ def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _check_model(arch: str, hidden_dim: int) -> None:
-    if arch not in ARCHITECTURES:
+    if arch not in _LAYERS:
         raise ValueError(f"unknown architecture {arch!r}")
     if hidden_dim < 1:
         raise ValueError(f"hidden_dim must be at least 1, got {hidden_dim}")
@@ -138,20 +141,12 @@ class ClassifierModel:
     ) -> "ClassifierModel":
         """Weights from a Gaussian with variance 2 / fan_in, zero biases."""
         _check_model(arch, hidden_dim)
-        def gauss(fan_in: int, shape) -> np.ndarray:
-            return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
-        if arch == "linear":
-            params = {
-                "W": gauss(input_dim, (input_dim, n_classes)),
-                "b": np.zeros(n_classes),
-            }
-        else:
-            params = {
-                "W1": gauss(input_dim, (input_dim, hidden_dim)),
-                "b1": np.zeros(hidden_dim),
-                "W2": gauss(hidden_dim, (hidden_dim, n_classes)),
-                "b2": np.zeros(n_classes),
-            }
+        layers = _LAYERS[arch]
+        widths = [input_dim] + [hidden_dim] * (len(layers) - 1) + [n_classes]
+        params = {}
+        for (w, b), fan_in, fan_out in zip(layers, widths, widths[1:]):
+            params[w] = rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in)
+            params[b] = np.zeros(fan_out)
         if train_features is None:
             mean = np.zeros(input_dim)
             std = np.ones(input_dim)
@@ -170,13 +165,20 @@ class ClassifierModel:
         z /= self.input_std
         return z
 
+    def _forward(self, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each layer's input (above the first, the ReLU of the layer below)
+        and the logits, of rows already in the model's input space."""
+        inputs, out = [], z
+        for w, b in _LAYERS[self.arch]:
+            if inputs:
+                np.maximum(out, 0.0, out=out)
+            inputs.append(out)
+            out = _affine(out, self.params[w], self.params[b])
+        return inputs, out
+
     def logits(self, z: np.ndarray) -> np.ndarray:
         """Logits of rows already in the model's input space."""
-        p = self.params
-        if self.arch == "linear":
-            return _affine(z, p["W"], p["b"])
-        hidden = _affine(z, p["W1"], p["b1"])
-        return _affine(np.maximum(hidden, 0.0, out=hidden), p["W2"], p["b2"])
+        return self._forward(z)[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of raw feature rows, rows summing to 1."""
@@ -194,22 +196,14 @@ class ClassifierModel:
         gradients are written into `out`, arrays shaped like the parameters
         under the same names, which are returned.
         """
-        p = self.params
-        if self.arch == "linear":
-            loss, g = _weighted_ce_(self.logits(z), labels, weights)
-            np.matmul(z.T, g, out=out["W"])
-            g.sum(axis=0, out=out["b"])
-            return loss, out
-        hidden = _affine(z, p["W1"], p["b1"])
-        active = hidden > 0.0
-        np.maximum(hidden, 0.0, out=hidden)
-        loss, g = _weighted_ce_(_affine(hidden, p["W2"], p["b2"]), labels, weights)
-        g_hidden = g @ p["W2"].T
-        g_hidden *= active
-        np.matmul(z.T, g_hidden, out=out["W1"])
-        g_hidden.sum(axis=0, out=out["b1"])
-        np.matmul(hidden.T, g, out=out["W2"])
-        g.sum(axis=0, out=out["b2"])
+        inputs, logits = self._forward(z)
+        loss, g = _weighted_ce_(logits, labels, weights)
+        for k, (w, b) in reversed(list(enumerate(_LAYERS[self.arch]))):
+            np.matmul(inputs[k].T, g, out=out[w])
+            g.sum(axis=0, out=out[b])
+            if k:
+                g = g @ self.params[w].T
+                g *= inputs[k] > 0.0
         return loss, out
 
 

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from currikit.data import BINARY_VERSION, MAGIC, DatasetError, FeatureSet
-from currikit.trainer import _weighted_ce_
+from currikit.trainer import ClassifierModel, _check_model, _weighted_ce_
 
 
 def naive_distance_matrix(features: np.ndarray) -> np.ndarray:
@@ -240,6 +240,44 @@ def alloc_loss_and_grads(
         "W2": hidden.T @ g,
         "b2": g.sum(axis=0),
     }
+
+
+def branch_initialize(
+    arch: str,
+    input_dim: int,
+    n_classes: int,
+    rng: np.random.Generator,
+    hidden_dim: int = 32,
+    train_features: np.ndarray | None = None,
+) -> ClassifierModel:
+    """ClassifierModel.initialize written as one branch per architecture,
+    which fixes the order its weights are drawn in."""
+    _check_model(arch, hidden_dim)
+    def gauss(fan_in: int, shape) -> np.ndarray:
+        return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
+    if arch == "linear":
+        params = {
+            "W": gauss(input_dim, (input_dim, n_classes)),
+            "b": np.zeros(n_classes),
+        }
+    else:
+        params = {
+            "W1": gauss(input_dim, (input_dim, hidden_dim)),
+            "b1": np.zeros(hidden_dim),
+            "W2": gauss(hidden_dim, (hidden_dim, n_classes)),
+            "b2": np.zeros(n_classes),
+        }
+    if train_features is None:
+        mean = np.zeros(input_dim)
+        std = np.ones(input_dim)
+    else:
+        feats = np.asarray(train_features, dtype=np.float64)
+        mean = feats.mean(axis=0)
+        std = np.maximum(feats.std(axis=0), 1e-8)
+    return ClassifierModel(
+        arch=arch, input_dim=input_dim, n_classes=n_classes, params=params,
+        input_mean=mean, input_std=std,
+    )
 
 
 def alloc_momentum_step(

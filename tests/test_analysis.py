@@ -71,6 +71,17 @@ class TestSubsetNoiseRates:
         with pytest.raises(AnalysisError, match="s1"):
             subset_noise_rates(cd, {"s0": 0})
 
+    def test_no_samples(self):
+        # Two categories, both emptied: no level has a sample to audit.
+        cd = CurriculumDesign(
+            params=CurriculumParams(n_subsets=3), sample_ids=(),
+            categories=np.zeros(0, dtype=np.int64), levels=np.zeros(0, dtype=np.int64),
+            dist_to_center=np.zeros(0), center_ids=("s0", "s1"), d_c=np.zeros(2),
+        )
+        with pytest.raises(AnalysisError) as caught:
+            subset_noise_rates(cd, {"s0": 0})
+        assert str(caught.value) == "the curriculum holds no samples; there is nothing to audit"
+
 
 class TestCorrectRates:
     def test_values(self):

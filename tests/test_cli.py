@@ -356,6 +356,27 @@ class TestAnalyze:
         assert with_samples == len(doc["categories"]) - 1
         assert sum(audit["correct_rate_histogram"]) == with_samples
 
+    @pytest.mark.parametrize("runs", [False, True], ids=["rates", "with-runs"])
+    def test_curriculum_without_samples_exit_1(self, workspace, runs):
+        r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((workspace / "curriculum.json").read_text())
+        for cat in doc["categories"]:
+            cat["samples"] = []
+        (workspace / "curriculum.json").write_text(json.dumps(doc))
+        args = ["analyze", "--curriculum", "curriculum.json", "--reference", "truth.csv",
+                "--out-dir", "out"]
+        if runs:
+            r = run_cli(TRAIN + ["--strategies", "A,D", "--out-dir", "."], cwd=workspace)
+            assert r.returncode == 0, r.stderr
+            args += ["--baseline-run", "run_ModelA_s0.json",
+                     "--curriculum-run", "run_ModelD_s0.json"]
+        r = run_cli(args, cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr == ("currikit: error: the curriculum holds no samples; "
+                            "there is nothing to audit\n")
+        assert not (workspace / "out").exists()
+
     def test_audit_outputs(self, workspace):
         r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
         assert r.returncode == 0, r.stderr
@@ -425,6 +446,26 @@ class TestMalformedInputs:
         assert r.returncode == 1, r.stderr
         assert "currikit: error:" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("bad, message", [
+        (b'{"version": 1 "params": {}}',
+         "malformed curriculum file: Expecting ',' delimiter: line 1 column 15 (char 14)"),
+        (b'\xff{"version": 1}', "not UTF-8 text"),
+    ], ids=["malformed", "not-utf-8"])
+    def test_curriculum_error_names_the_file(self, workspace, bad, message):
+        (workspace / "bad.json").write_bytes(bad)
+        r = run_cli(["analyze", "--curriculum", "bad.json", "--reference", "truth.csv",
+                     "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr == f"currikit: error: bad.json: {message}\n"
+
+    def test_csv_not_utf_8_exit_1(self, tmp_path):
+        # The byte sits well past the decoder's first read of the file.
+        rows = "".join(f"s{i},{i % 3},{i}.5\n" for i in range(20_000))
+        (tmp_path / "f.csv").write_bytes(f"id,label,f0\n{rows}".encode() + b"\xff,0,1.0\n")
+        r = run_cli(["design", "--features", "f.csv", "--out-dir", "."], cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr == "currikit: error: f.csv: not UTF-8 text\n"
 
     def test_malformed_run_file_exit_1(self, workspace):
         r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)

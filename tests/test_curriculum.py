@@ -268,6 +268,21 @@ class TestSerialization:
             return
         assert curriculum_to_json(cd).endswith(expected)
 
+    def test_load_names_the_file_of_a_malformed_curriculum(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"version": 1 "params": {}}')
+        with pytest.raises(CurriculumError) as caught:
+            load_curriculum(path)
+        assert str(caught.value) == (f"{path}: malformed curriculum file: Expecting ',' "
+                                     "delimiter: line 1 column 15 (char 14)")
+
+    def test_load_names_the_file_that_is_not_utf_8(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'\xff{"version": 1}')
+        with pytest.raises(CurriculumError) as caught:
+            load_curriculum(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text"
+
     def test_version_mismatch(self):
         with pytest.raises(CurriculumError, match="version"):
             curriculum_from_json('{"version": 99, "params": {}, "categories": []}')

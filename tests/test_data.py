@@ -456,7 +456,7 @@ CSV_READERS = {
 
 
 @pytest.mark.parametrize("case", ["empty", "wrong-header", "short-row", "blank-then-short-row",
-                                  "over-field-limit"])
+                                  "over-field-limit", "not-utf-8"])
 @pytest.mark.parametrize("reader", list(CSV_READERS))
 def test_csv_reader_errors(tmp_path, reader, case):
     """The three csv readers check the header, blank rows and cell counts
@@ -475,8 +475,13 @@ def test_csv_reader_errors(tmp_path, reader, case):
         "over-field-limit": (f"{header}\n{row}\n{long_id}{row[1:]}\n",
                              f"{path}: row 1: field larger than field limit "
                              f"({csv.field_size_limit()})"),
+        # A byte that is not UTF-8 well past the decoder's first read: the
+        # message names the file and no row or position.
+        "not-utf-8": ("".join([f"{header}\n"] + [f"r{i}{row[1:]}\n" for i in range(2_000)]
+                              ).encode() + b"\xff" + row[1:].encode(),
+                      f"{path}: not UTF-8 text"),
     }[case]
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(DatasetError) as caught:
         load(path)
     assert str(caught.value) == message

@@ -35,6 +35,7 @@ from oracles import (
     alloc_loss_and_grads,
     alloc_momentum_step,
     alloc_weighted_ce_loss,
+    branch_initialize,
     finite_diff_grad,
     mask_accuracies,
     relative_error,
@@ -230,6 +231,28 @@ class TestInPlaceKernels:
             tracemalloc.stop()
         assert bits(loss) == bits(expected)
         assert peak <= 8 * n * (d + hidden + 2 * c), peak
+
+
+@settings(max_examples=150, deadline=None)
+@given(arch=st.sampled_from(ARCHITECTURES), input_dim=st.integers(1, 12),
+       hidden_dim=st.integers(1, 12), n_classes=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1), standardize=st.booleans())
+def test_initialize_draws_as_the_branch_initializer(arch, input_dim, hidden_dim, n_classes,
+                                                    seed, standardize):
+    """The layer-by-layer initializer gives every parameter the bits of the
+    one-branch-per-architecture initializer in the oracles, and leaves the
+    generator in the same state, so its draws come in the same order."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    feats = np.random.default_rng(seed).standard_normal((4, input_dim)) if standardize else None
+    got = ClassifierModel.initialize(arch, input_dim, n_classes, rng, hidden_dim, feats)
+    expected = branch_initialize(arch, input_dim, n_classes, oracle_rng, hidden_dim, feats)
+    assert list(got.params) == list(expected.params)
+    for name, value in expected.params.items():
+        assert got.params[name].shape == value.shape, name
+        assert np.array_equal(bits(got.params[name]), bits(value)), name
+    assert np.array_equal(bits(got.input_mean), bits(expected.input_mean))
+    assert np.array_equal(bits(got.input_std), bits(expected.input_std))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestEvaluate:
