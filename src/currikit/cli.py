@@ -6,6 +6,10 @@ config file of ``key = value`` lines can pre-set any long option; explicit
 flags win. The output directory may also be set through the CURRIKIT_OUT
 environment variable (flags still win). Exit codes: 0 success, 1 runtime
 failure, 2 usage error.
+
+Each command imports only the modules it runs: a command's options, some of
+which take their choices from those modules, are added to its parser when
+argparse hands it its arguments, and its code imports the rest.
 """
 
 from __future__ import annotations
@@ -19,21 +23,8 @@ import re
 import sys
 from collections.abc import Iterable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    N_BINS,
-    category_correct_rates,
-    rate_interval_report,
-    subset_noise_rates,
-)
-from .curriculum import (
-    DESIGN_METHODS,
-    CurriculumParams,
-    design,
-    level_name,
-    load_curriculum,
-    save_curriculum,
-)
 from .data import (
     FORMATS,
     SynthConfig,
@@ -44,16 +35,21 @@ from .data import (
     save_features,
     save_truth,
 )
-from .experiments import STRATEGY_TAGS, run_grid, summarize
 from .fileio import atomic_write_text
-from .trainer import ARCHITECTURES, RunMetrics, holdout_split
+
+if TYPE_CHECKING:
+    from .trainer import RunMetrics
 
 OUT_DIR_ENV = "CURRIKIT_OUT"
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # "#" after whitespace
         if not line:
             continue
@@ -66,7 +62,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _apply_config(
     parser: argparse.ArgumentParser,
-    subparsers: dict[str, argparse.ArgumentParser],
+    subparsers: dict[str, _CommandParser],
     args: list[str],
 ) -> argparse.Namespace:
     """Pre-set subcommand defaults from a --config file; explicit flags win.
@@ -81,9 +77,9 @@ def _apply_config(
     if known.config and known.command in subparsers:
         try:
             overrides = _parse_config_file(known.config)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
-        sub = subparsers[known.command]
+        sub = subparsers[known.command].with_options()
         valid = {a.dest for a in sub._actions}
         unknown = sorted(set(overrides) - valid)
         if unknown:
@@ -182,6 +178,8 @@ def _load_features_arg(args: argparse.Namespace):
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
+    from .curriculum import CurriculumParams, design, level_name, save_curriculum
+
     seed = _seed(args.seed, "--seed")
     fs = _load_features_arg(args)
     params = CurriculumParams(
@@ -232,6 +230,10 @@ def _run_file_tag(tag: str) -> str:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .curriculum import CurriculumParams
+    from .experiments import STRATEGY_TAGS, run_grid, summarize
+    from .trainer import holdout_split
+
     split_seed = _seed(args.split_seed, "--split-seed")
     design_seed = _seed(args.design_seed, "--design-seed")
     fs = _load_features_arg(args)
@@ -306,6 +308,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_run(path: str) -> RunMetrics:
+    from .trainer import RunMetrics
+
     try:
         return RunMetrics.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except (KeyError, TypeError, ValueError) as exc:
@@ -313,6 +317,9 @@ def _load_run(path: str) -> RunMetrics:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import N_BINS, category_correct_rates, rate_interval_report, subset_noise_rates
+    from .curriculum import level_name, load_curriculum
+
     cd = load_curriculum(args.curriculum)
     reference = load_reference_labels(args.reference)
     rates = subset_noise_rates(cd, reference)
@@ -369,23 +376,34 @@ class UsageError(Exception):
     pass
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="currikit",
-        description="Design density-ranked curricula over noisy-label feature "
-                    "datasets and run staged curriculum training.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
-    default_out = os.environ.get(OUT_DIR_ENV, ".")
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, whose options are added on first use.
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key = value file pre-setting any option")
-        p.add_argument("--out-dir", default=default_out,
-                       help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+    `add_options(parser)` adds the options after the common ones; it imports
+    any module whose names they need, so only the command that runs pays for
+    that import. argparse hands a command its arguments through
+    `parse_known_args`, which adds them first.
+    """
 
-    p = subparsers["synth"] = sub.add_parser("synth", help="generate a planted-noise synthetic dataset")
-    add_common(p)
+    def __init__(self, *args, add_options, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_options = add_options
+
+    def with_options(self) -> _CommandParser:
+        if self._add_options is not None:
+            add_options, self._add_options = self._add_options, None
+            self.add_argument("--config", help="key = value file pre-setting any option")
+            self.add_argument("--out-dir", default=os.environ.get(OUT_DIR_ENV, "."),
+                              help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+            add_options(self)
+        return self
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.with_options()
+        return super().parse_known_args(args, namespace)
+
+
+def _synth_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--categories", type=int, default=10)
     p.add_argument("--per-category", type=int, default=200)
     p.add_argument("--dim", type=int, default=32)
@@ -399,8 +417,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--format", choices=FORMATS, default="binary")
     p.set_defaults(func=_cmd_synth)
 
-    p = subparsers["design"] = sub.add_parser("design", help="design a curriculum over a feature file")
-    add_common(p)
+
+def _design_options(p: argparse.ArgumentParser) -> None:
+    from .curriculum import DESIGN_METHODS
+
     p.add_argument("--features", required=True)
     p.add_argument("--format", choices=FORMATS + ("auto",), default="auto")
     p.add_argument("--method", choices=DESIGN_METHODS, default="density")
@@ -411,8 +431,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out-name", default="curriculum.json")
     p.set_defaults(func=_cmd_design)
 
-    p = subparsers["train"] = sub.add_parser("train", help="run training strategies over a dataset")
-    add_common(p)
+
+def _train_options(p: argparse.ArgumentParser) -> None:
+    from .trainer import ARCHITECTURES
+
     p.add_argument("--features", required=True)
     p.add_argument("--format", choices=FORMATS + ("auto",), default="auto")
     p.add_argument("--truth", required=True)
@@ -436,8 +458,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="also write per-iteration batch composition CSVs")
     p.set_defaults(func=_cmd_train)
 
-    p = subparsers["analyze"] = sub.add_parser("analyze", help="audit a curriculum against reference labels")
-    add_common(p)
+
+def _analyze_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curriculum", required=True)
     p.add_argument("--reference", required=True,
                    help="truth CSV or id,predicted_label CSV")
@@ -447,6 +469,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="run_*.json of the curriculum strategy")
     p.set_defaults(func=_cmd_analyze)
 
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    parser = argparse.ArgumentParser(
+        prog="currikit",
+        description="Design density-ranked curricula over noisy-label feature "
+                    "datasets and run staged curriculum training.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    subparsers = {
+        name: sub.add_parser(name, help=help_text, add_options=add_options)
+        for name, help_text, add_options in (
+            ("synth", "generate a planted-noise synthetic dataset", _synth_options),
+            ("design", "design a curriculum over a feature file", _design_options),
+            ("train", "run training strategies over a dataset", _train_options),
+            ("analyze", "audit a curriculum against reference labels", _analyze_options),
+        )
+    }
     return parser, subparsers
 
 

@@ -684,6 +684,18 @@ class TestConfigAndEnv:
         assert (tmp_path / "a" / "features.bin").read_bytes() == \
             (tmp_path / "b" / "features.bin").read_bytes()
 
+    @pytest.mark.parametrize("text, message", [
+        (b"\xffseed = 3\n", "c.cfg: not UTF-8 text"),
+        (b"seed = 3\nseed 4\n", "c.cfg:2: expected 'key = value'"),
+    ], ids=["not-utf-8", "no-equals-sign"])
+    def test_unreadable_config_exit_2(self, tmp_path, text, message):
+        (tmp_path / "c.cfg").write_bytes(text)
+        r = run_cli(["synth", "--config", "c.cfg", "--out-dir", "o"], cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == ("usage: currikit [-h] {synth,design,train,analyze} ...\n"
+                            f"currikit: error: cannot read config file: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_out_dir_env_override(self, tmp_path):
         target = tmp_path / "from-env"
         r = run_cli(SYNTH, cwd=tmp_path, env={"CURRIKIT_OUT": str(target)})
@@ -711,3 +723,34 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    # Start-up is most of a short command's time: synth and design must not
+    # import the training and analysis modules, and no command imports scipy.
+    script = (
+        "import json, sys\n"
+        "from currikit.cli import main\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+        "    seen.append(sorted(m for m in sys.modules\n"
+        "                       if m.startswith('currikit.') or m.split('.')[0] == 'scipy'))\n"
+        "print(json.dumps(seen))\n"
+    )
+    commands = [
+        SYNTH + ["--out-dir", "."],
+        ["design", "--features", "features.bin", "--out-dir", "."],
+        TRAIN + ["--out-dir", "."],
+        ["analyze", "--curriculum", "curriculum.json", "--reference", "truth.csv",
+         "--out-dir", "."],
+    ]
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                       cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    synth, design, _, analyze = map(set, json.loads(r.stdout.splitlines()[-1]))
+    training = {f"currikit.{m}" for m in ("schedule", "trainer", "experiments", "analysis")}
+    assert not synth & (training | {"currikit.curriculum", "currikit.density"}), synth
+    assert not design & training, design
+    assert {"currikit.curriculum", "currikit.density"} <= design
+    assert not any(m.split(".")[0] == "scipy" for m in analyze)

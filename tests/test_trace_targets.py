@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-import currikit.cli  # noqa: F401  (loads every module the commands use)
+import currikit.cli  # noqa: F401  (the entry point; _resolve imports each target's module)
 
 TRACE_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
 
