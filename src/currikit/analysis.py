@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .curriculum import CurriculumDesign
 from .data import category_rows
-from .trainer import RunMetrics
+
+if TYPE_CHECKING:
+    from .trainer import RunMetrics
 
 N_BINS = 10
 

@@ -7,9 +7,10 @@ flags win. The output directory may also be set through the CURRIKIT_OUT
 environment variable (flags still win). Exit codes: 0 success, 1 runtime
 failure, 2 usage error.
 
-Each command imports only the modules it runs: a command's options, some of
-which take their choices from those modules, are added to its parser when
-argparse hands it its arguments, and its code imports the rest.
+Each command imports only the modules it runs. A probe of the arguments
+names the command and its --config file; only that command's parser gets
+its options, some of which take their choices from those modules, and its
+code imports the rest.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING
 from .data import (
     FORMATS,
     SynthConfig,
+    _names_its_file,
     generate_synthetic,
     load_features,
     load_reference_labels,
@@ -60,38 +62,28 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(
-    parser: argparse.ArgumentParser,
-    subparsers: dict[str, _CommandParser],
-    args: list[str],
-) -> argparse.Namespace:
-    """Pre-set subcommand defaults from a --config file; explicit flags win.
+def _apply_config(parser: argparse.ArgumentParser, command: argparse.ArgumentParser,
+                  path: str) -> None:
+    """Pre-set `command`'s defaults from the config file at `path`; explicit
+    flags win.
 
     String defaults are type-converted by argparse exactly like command-line
     values; a switch takes `true` or `false`.
     """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("command", nargs="?")
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(args)
-    if known.config and known.command in subparsers:
-        try:
-            overrides = _parse_config_file(known.config)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot read config file: {exc}")
-        sub = subparsers[known.command].with_options()
-        valid = {a.dest for a in sub._actions}
-        unknown = sorted(set(overrides) - valid)
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(unknown)}")
-        for a in sub._actions:
-            if isinstance(a, argparse._StoreTrueAction) and a.dest in overrides:
-                value = overrides[a.dest]
-                if value.lower() not in ("true", "false"):
-                    parser.error(f"config key {a.dest} = {value!r} must be true or false")
-                overrides[a.dest] = value.lower() == "true"
-        sub.set_defaults(**overrides)
-    return parser.parse_args(args)
+    try:
+        overrides = _parse_config_file(path)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    unknown = sorted(set(overrides) - {a.dest for a in command._actions})
+    if unknown:
+        parser.error(f"unknown config keys: {', '.join(unknown)}")
+    for a in command._actions:
+        if isinstance(a, argparse._StoreTrueAction) and a.dest in overrides:
+            value = overrides[a.dest]
+            if value.lower() not in ("true", "false"):
+                parser.error(f"config key {a.dest} = {value!r} must be true or false")
+            overrides[a.dest] = value.lower() == "true"
+    command.set_defaults(**overrides)
 
 
 def _seed_list(text: str) -> list[int]:
@@ -236,23 +228,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     split_seed = _seed(args.split_seed, "--split-seed")
     design_seed = _seed(args.design_seed, "--design-seed")
-    fs = _load_features_arg(args)
-    truth_ids, truth = load_truth(args.truth)
-    if len(truth) != fs.n_samples:
-        raise ValueError("truth file does not match the feature file")
-    for row, (truth_id, feature_id) in enumerate(zip(truth_ids, fs.sample_ids)):
-        if truth_id != feature_id:
-            raise ValueError(
-                f"truth file row {row} has id {truth_id!r} where the feature file "
-                f"has {feature_id!r}; truth rows must list the feature ids in order"
-            )
     seeds = _seed_list(args.seeds)
-    fs_train, _, fs_test = holdout_split(fs, truth, args.test_frac, split_seed)
-    params = CurriculumParams(
-        k_percent=float(args.k_percent),
-        kmeans_max_iters=int(args.kmeans_max_iters),
-        seed=design_seed,
-    )
     if args.noisy_fraction:
         tags = ["ModelD"]
         fractions = [f / 100.0 for f in _float_list(args.noisy_fraction)]
@@ -264,6 +240,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if bad:
             raise UsageError(f"unknown strategy {bad[0]!r}; choose from {', '.join(STRATEGY_TAGS)}")
         fractions = None
+    fs = _load_features_arg(args)
+    truth_ids, truth = load_truth(args.truth)
+    if len(truth) != fs.n_samples:
+        raise ValueError("truth file does not match the feature file")
+    for row, (truth_id, feature_id) in enumerate(zip(truth_ids, fs.sample_ids)):
+        if truth_id != feature_id:
+            raise ValueError(
+                f"truth file row {row} has id {truth_id!r} where the feature file "
+                f"has {feature_id!r}; truth rows must list the feature ids in order"
+            )
+    fs_train, _, fs_test = holdout_split(fs, truth, args.test_frac, split_seed)
+    params = CurriculumParams(
+        k_percent=float(args.k_percent),
+        kmeans_max_iters=int(args.kmeans_max_iters),
+        seed=design_seed,
+    )
     out_dir = Path(args.out_dir)
     runs: list[RunMetrics] = []
     for metrics, batch_log in run_grid(
@@ -307,13 +299,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # analyze
 
 
+@_names_its_file(ValueError)
 def _load_run(path: str) -> RunMetrics:
     from .trainer import RunMetrics
 
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        return RunMetrics.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return RunMetrics.from_dict(json.loads(text))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed run file {path}: {type(exc).__name__}: {exc}") from exc
+        raise ValueError(f"malformed run file: {type(exc).__name__}: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -374,33 +368,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 class UsageError(Exception):
     pass
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, whose options are added on first use.
-
-    `add_options(parser)` adds the options after the common ones; it imports
-    any module whose names they need, so only the command that runs pays for
-    that import. argparse hands a command its arguments through
-    `parse_known_args`, which adds them first.
-    """
-
-    def __init__(self, *args, add_options, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_options = add_options
-
-    def with_options(self) -> _CommandParser:
-        if self._add_options is not None:
-            add_options, self._add_options = self._add_options, None
-            self.add_argument("--config", help="key = value file pre-setting any option")
-            self.add_argument("--out-dir", default=os.environ.get(OUT_DIR_ENV, "."),
-                              help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-            add_options(self)
-        return self
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.with_options()
-        return super().parse_known_args(args, namespace)
 
 
 def _synth_options(p: argparse.ArgumentParser) -> None:
@@ -470,28 +437,39 @@ def _analyze_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_analyze)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+# name -> (help, function adding the command's own options)
+_COMMANDS = {
+    "synth": ("generate a planted-noise synthetic dataset", _synth_options),
+    "design": ("design a curriculum over a feature file", _design_options),
+    "train": ("run training strategies over a dataset", _train_options),
+    "analyze": ("audit a curriculum against reference labels", _analyze_options),
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("command", nargs="?")
+    probe.add_argument("--config")
+    known, _ = probe.parse_known_args(argv)
     parser = argparse.ArgumentParser(
         prog="currikit",
         description="Design density-ranked curricula over noisy-label feature "
                     "datasets and run staged curriculum training.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    subparsers = {
-        name: sub.add_parser(name, help=help_text, add_options=add_options)
-        for name, help_text, add_options in (
-            ("synth", "generate a planted-noise synthetic dataset", _synth_options),
-            ("design", "design a curriculum over a feature file", _design_options),
-            ("train", "run training strategies over a dataset", _train_options),
-            ("analyze", "audit a curriculum against reference labels", _analyze_options),
-        )
-    }
-    return parser, subparsers
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser, subparsers = _build_parser()
-    args = _apply_config(parser, subparsers, list(sys.argv[1:] if argv is None else argv))
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
+    if known.command in commands:
+        # Every command is added first: a config error prints the usage line,
+        # which lists them all.
+        command = commands[known.command]
+        command.add_argument("--config", help="key = value file pre-setting any option")
+        command.add_argument("--out-dir", default=os.environ.get(OUT_DIR_ENV, "."),
+                             help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+        _COMMANDS[known.command][1](command)
+        if known.config:
+            _apply_config(parser, command, known.config)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet, _frozen, category_rows
+from .data import FeatureSet, _frozen, _names_its_file, category_rows
 from .density import density_profile
 from .fileio import atomic_write_text
 from .seeding import component_rng
@@ -433,11 +433,7 @@ def curriculum_from_json(text: str) -> CurriculumDesign:
     )
 
 
+@_names_its_file(CurriculumError)
 def load_curriculum(path: str | Path) -> CurriculumDesign:
     """The curriculum file at `path`; each CurriculumError starts with the path."""
-    try:
-        return curriculum_from_json(Path(path).read_text(encoding="utf-8"))
-    except CurriculumError as exc:
-        raise CurriculumError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise CurriculumError(f"{path}: not UTF-8 text") from None
+    return curriculum_from_json(Path(path).read_text(encoding="utf-8"))

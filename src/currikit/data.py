@@ -78,18 +78,21 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def _names_its_file(load):
-    """`load(path, ...)`, with every DatasetError it raises prefixed by the
-    path; a file that is not UTF-8 raises one that names no row or position."""
-    @functools.wraps(load)
-    def wrapper(path, *args, **kwargs):
-        try:
-            return load(path, *args, **kwargs)
-        except DatasetError as exc:
-            raise DatasetError(f"{path}: {exc}") from None
-        except UnicodeDecodeError:
-            raise DatasetError(f"{path}: not UTF-8 text") from None
-    return wrapper
+def _names_its_file(error: type[ValueError]):
+    """A decorator: `load(path, ...)`, with every `error` it raises prefixed
+    by the path; a file that is not UTF-8 raises an `error` that names no
+    row or position."""
+    def decorate(load):
+        @functools.wraps(load)
+        def wrapper(path, *args, **kwargs):
+            try:
+                return load(path, *args, **kwargs)
+            except UnicodeDecodeError:  # a ValueError: caught before `error`
+                raise error(f"{path}: not UTF-8 text") from None
+            except error as exc:
+                raise error(f"{path}: {exc}") from None
+        return wrapper
+    return decorate
 
 
 def category_rows(labels: np.ndarray, n_categories: int) -> list[np.ndarray]:
@@ -525,7 +528,7 @@ def save_features(fs: FeatureSet, path: str | Path, format: str) -> None:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
 
 
-@_names_its_file
+@_names_its_file(DatasetError)
 def load_features(
     path: str | Path, format: str, category_names: tuple[str, ...] | None = None
 ) -> FeatureSet:
@@ -556,7 +559,7 @@ def save_truth(fs: FeatureSet, truth: SyntheticTruth, path: str | Path) -> None:
     atomic_write_text(path, "id,true_label,noise_kind\n" + text)
 
 
-@_names_its_file
+@_names_its_file(DatasetError)
 def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     """Returns (sample ids in file order, truth annotation)."""
     def check_header(header: list[str] | None) -> int:
@@ -577,7 +580,7 @@ def load_truth(path: str | Path) -> tuple[tuple[str, ...], SyntheticTruth]:
     )
 
 
-@_names_its_file
+@_names_its_file(DatasetError)
 def load_reference_labels(path: str | Path) -> dict[str, int]:
     """Reference labels keyed by sample id.
 

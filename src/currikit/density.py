@@ -36,7 +36,7 @@ _ROW_BLOCK = 128
 # block's worth.
 _KEEP_PER_SAMPLE = _ROW_BLOCK
 
-# Pairs per chunk of exact re-checks.
+# Pairs per chunk of ``_exact_distances``.
 _PAIR_CHUNK = 4096
 
 # Unit roundoff of float64.
@@ -97,34 +97,23 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
     """All-pairs squared Euclidean distances, (n, n) float64.
 
     Exactly symmetric with a zero diagonal, and equal bit for bit to a naive
-    loop: each entry is a sequential sum of squared per-dimension
-    differences, accumulated in dimension order. The rows are computed in
-    blocks of ``_ROW_BLOCK``; a block starting at row i0 covers only the
-    columns from i0 on (the upper triangle and the block's own diagonal
-    square) and is written to its rows and, transposed, to its columns.
-    Peak memory is the n^2 output plus two reused block buffers of
-    ``_ROW_BLOCK`` x n float64 each. A matrix larger than
-    ``MAX_MATRIX_BYTES`` raises ValueError before anything is allocated.
+    loop: each entry is ``_exact_distances``'s sequential sum of squared
+    per-dimension differences, accumulated in dimension order. The rows are
+    computed in blocks of ``_ROW_BLOCK``; a block starting at row i0 covers
+    only the columns from i0 on (the upper triangle and the block's own
+    diagonal square) and is written to its rows and, transposed, to its
+    columns. Peak memory is the n^2 output plus a few block-sized index and
+    value arrays. A matrix larger than ``MAX_MATRIX_BYTES`` raises
+    ValueError before anything is allocated.
     """
     feats = _checked_features(features, lambda n, d: 8 * n * n, "distance matrix")
     n = feats.shape[0]
     cols = np.ascontiguousarray(feats.T)
     d2 = np.empty((n, n), dtype=np.float64)
-    block = min(_ROW_BLOCK, n)
-    diff_buf = np.empty(block * n, dtype=np.float64)
-    acc_buf = np.empty(block * n, dtype=np.float64)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        shape = (i1 - i0, n - i0)
-        diff = diff_buf[: shape[0] * shape[1]].reshape(shape)
-        acc = acc_buf[: shape[0] * shape[1]].reshape(shape)
-        acc.fill(0.0)
-        for col in cols:
-            np.subtract(col[i0:i1, None], col[None, i0:], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(acc, diff, out=acc)
-        d2[i0:i1, i0:] = acc
-        d2[i0:, i0:i1] = acc.T
+    for i0, i1, _ in _row_blocks(n):
+        block = _exact_distances(cols, np.arange(i0, i1)[:, None], np.arange(i0, n))
+        d2[i0:i1, i0:] = block
+        d2[i0:, i0:i1] = block.T
     return d2
 
 
@@ -351,9 +340,10 @@ def _exact_distances(cols: np.ndarray, i, j) -> np.ndarray:
     the value ``distance_matrix`` holds at [i, j]."""
     i, j = np.broadcast_arrays(i, j)
     out = np.zeros(i.shape, dtype=np.float64)
+    i, j, flat = i.ravel(), j.ravel(), out.reshape(-1)
     for c0 in range(0, i.size, _PAIR_CHUNK):
         ii, jj = i[c0:c0 + _PAIR_CHUNK], j[c0:c0 + _PAIR_CHUNK]
-        acc = out[c0:c0 + _PAIR_CHUNK]
+        acc = flat[c0:c0 + _PAIR_CHUNK]
         for col in cols:
             diff = col[ii] - col[jj]
             diff *= diff

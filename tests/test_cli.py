@@ -478,6 +478,21 @@ class TestMalformedInputs:
         assert "currikit: error:" in r.stderr and "bad_run.json" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("bad, message", [
+        (b"\xff{}\n", "not UTF-8 text"),
+        (b"[1, 2]\n", "malformed run file: TypeError: list indices must be integers or "
+                      "slices, not str"),
+    ], ids=["not-utf-8", "json-list"])
+    def test_run_file_error_names_the_file(self, workspace, bad, message):
+        r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 0, r.stderr
+        (workspace / "bad.json").write_bytes(bad)
+        r = run_cli(["analyze", "--curriculum", "curriculum.json", "--reference", "truth.csv",
+                     "--baseline-run", "bad.json", "--curriculum-run", "bad.json",
+                     "--out-dir", "."], cwd=workspace)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr == f"currikit: error: bad.json: {message}\n"
+
     def test_reference_row_missing_label_exit_1(self, workspace):
         r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
         assert r.returncode == 0, r.stderr
@@ -555,6 +570,22 @@ class TestMalformedInputs:
         option = " ".join(args[-2:])
         err = capsys.readouterr().err
         assert err == f"currikit: error: {option} is negative; seeds are non-negative integers\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, code, message", [
+        (["--seeds", "x"], 1, "--seeds 'x' is not a seed list; give a comma list such as "
+                              "1,2,5 or an inclusive range such as 1..10"),
+        (["--strategies", "Z"], 2, "unknown strategy 'Z'; choose from "
+                                   + ", ".join(experiments.STRATEGY_TAGS)),
+        (["--noisy-fraction", "150"], 1, "--noisy-fraction '150' holds 150; percentages lie "
+                                         "in [0, 100]"),
+    ], ids=["seeds", "strategies", "noisy-fraction"])
+    def test_train_list_option_checked_before_files(self, tmp_path, option, code, message):
+        # The missing feature file would be the error if it were opened first.
+        r = run_cli(["train", "--features", "nope.bin", "--truth", "nope.csv", *option,
+                     "--out-dir", "out"], cwd=tmp_path)
+        assert r.returncode == code, r.stderr
+        assert r.stderr.endswith(f"currikit: error: {message}\n"), r.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("reader", ["features", "truth", "reference"])
@@ -754,3 +785,23 @@ def test_each_command_imports_only_its_modules(tmp_path):
     assert not design & training, design
     assert {"currikit.curriculum", "currikit.density"} <= design
     assert not any(m.split(".")[0] == "scipy" for m in analyze)
+
+
+def test_analyze_without_runs_loads_no_training_code(workspace):
+    # A fresh process: the command before it in one process would leave its
+    # modules loaded.
+    r = run_cli(["design", "--features", "features.bin", "--out-dir", "."], cwd=workspace)
+    assert r.returncode == 0, r.stderr
+    script = (
+        "import json, sys\n"
+        "from currikit.cli import main\n"
+        "assert main(['analyze', '--curriculum', 'curriculum.json',\n"
+        "             '--reference', 'truth.csv', '--out-dir', '.']) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('currikit.')]))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script],
+                       cwd=workspace, env=cli_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stdout.splitlines()[-1]))
+    assert "currikit.analysis" in loaded
+    assert not loaded & {f"currikit.{m}" for m in ("schedule", "trainer", "experiments")}, loaded
